@@ -3,16 +3,18 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <charconv>
 #include <cstdio>
 #include <filesystem>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
 #include "core/mutex.hpp"
 #include "core/thread_annotations.hpp"
+#include "obs/json_number.hpp"
 #include "obs/metrics.hpp"
 #include "obs/schemas.hpp"
+#include "obs/trace.hpp"
 
 namespace leosim::core {
 
@@ -59,6 +61,30 @@ obs::Counter& EventsEmittedCounter() {
   return *counter;
 }
 
+// Per-call wall time of the trace layer's phases, in microseconds: one
+// span per CaptureSlot, per serializer call and per ValidateReplay, so a
+// profile of a traced run attributes the trace cost without help from
+// the caller. Bounds reach ~8 s, the serialization of a long sweep.
+obs::Histogram& PhaseHistogram(const char* name) {
+  return obs::MetricsRegistry::Global().GetHistogram(
+      name, obs::Histogram::ExponentialBounds(1.0, 2.0, 24));
+}
+
+obs::Histogram& CaptureHistogram() {
+  static obs::Histogram* histogram = &PhaseHistogram("nettrace.capture_us");
+  return *histogram;
+}
+
+obs::Histogram& SerializeHistogram() {
+  static obs::Histogram* histogram = &PhaseHistogram("nettrace.serialize_us");
+  return *histogram;
+}
+
+obs::Histogram& ValidateHistogram() {
+  static obs::Histogram* histogram = &PhaseHistogram("nettrace.validate_us");
+  return *histogram;
+}
+
 bool BitsEqual(double a, double b) {
   return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
 }
@@ -67,23 +93,12 @@ bool BitsEqual(const geo::Vec3& a, const geo::Vec3& b) {
   return BitsEqual(a.x, b.x) && BitsEqual(a.y, b.y) && BitsEqual(a.z, b.z);
 }
 
-void AppendJsonDouble(std::string* out, double value) {
-  // NaN/Inf are not JSON; mirror the timeseries exporter's null
-  // clamping so one bad value cannot invalidate the whole trace.
-  if (!(value >= -std::numeric_limits<double>::max() &&
-        value <= std::numeric_limits<double>::max())) {
-    out->append("null");
-    return;
-  }
-  char tmp[40];
-  std::snprintf(tmp, sizeof(tmp), "%.17g", value);
-  out->append(tmp);
-}
+using obs::AppendJsonNumber;
 
 void AppendInt(std::string* out, int64_t value) {
-  char tmp[24];
-  std::snprintf(tmp, sizeof(tmp), "%lld", static_cast<long long>(value));
-  out->append(tmp);
+  char buf[24];
+  char* end = std::to_chars(buf, buf + sizeof(buf), value).ptr;
+  out->append(buf, end);
 }
 
 void AppendVec3Array(std::string* out, const geo::Vec3* begin, size_t count) {
@@ -93,11 +108,11 @@ void AppendVec3Array(std::string* out, const geo::Vec3* begin, size_t count) {
       out->push_back(',');
     }
     out->push_back('[');
-    AppendJsonDouble(out, begin[i].x);
+    AppendJsonNumber(out, begin[i].x);
     out->push_back(',');
-    AppendJsonDouble(out, begin[i].y);
+    AppendJsonNumber(out, begin[i].y);
     out->push_back(',');
-    AppendJsonDouble(out, begin[i].z);
+    AppendJsonNumber(out, begin[i].z);
     out->push_back(']');
   }
   out->push_back(']');
@@ -120,9 +135,9 @@ void AppendLink(std::string* out, const Link& link, const char* type) {
   out->push_back(',');
   AppendInt(out, link.b);
   out->push_back(',');
-  AppendJsonDouble(out, link.delay_ms);
+  AppendJsonNumber(out, link.delay_ms);
   out->push_back(',');
-  AppendJsonDouble(out, link.capacity_gbps);
+  AppendJsonNumber(out, link.capacity_gbps);
   out->append(",\"");
   out->append(type);
   out->append("\"]");
@@ -134,7 +149,7 @@ void AppendStudyEvent(std::string* out, const StudyEvent& event) {
       out->append("[\"route_change\",");
       AppendInt(out, event.pair);
       out->push_back(',');
-      AppendJsonDouble(out, event.rtt_ms);
+      AppendJsonNumber(out, event.rtt_ms);
       out->push_back(',');
       AppendIntArray(out, event.nodes);
       out->push_back(']');
@@ -143,7 +158,7 @@ void AppendStudyEvent(std::string* out, const StudyEvent& event) {
       out->append("[\"reachable\",");
       AppendInt(out, event.pair);
       out->push_back(',');
-      AppendJsonDouble(out, event.rtt_ms);
+      AppendJsonNumber(out, event.rtt_ms);
       out->push_back(']');
       break;
     case StudyEvent::Kind::kUnreachable:
@@ -178,6 +193,18 @@ struct LinkDiff {
   }
 };
 
+// A link's (a, b) as one 64-bit key. Node ids are non-negative, so the
+// unsigned packing orders keys exactly as std::pair(a, b) would.
+uint64_t Key(const Link& link) {
+  return uint64_t{static_cast<uint32_t>(link.a)} << 32 |
+         static_cast<uint32_t>(link.b);
+}
+
+// A closure, not a function, so std::sort inlines the comparison.
+constexpr auto KeyLess = [](const Link& x, const Link& y) {
+  return Key(x) < Key(y);
+};
+
 // Merge-walks two (a, b)-sorted link lists. A capacity change is a
 // down+up (the link was replaced, not retuned); a delay-only change is
 // a weight event. Comparisons are bit-exact so the diff stream carries
@@ -189,13 +216,9 @@ void DiffLinks(const std::vector<Link>& prev, const std::vector<Link>& cur,
   size_t j = 0;
   while (i < prev.size() || j < cur.size()) {
     const bool take_prev =
-        j == cur.size() ||
-        (i < prev.size() &&
-         std::pair(prev[i].a, prev[i].b) < std::pair(cur[j].a, cur[j].b));
+        j == cur.size() || (i < prev.size() && KeyLess(prev[i], cur[j]));
     const bool take_cur =
-        i == prev.size() ||
-        (j < cur.size() &&
-         std::pair(cur[j].a, cur[j].b) < std::pair(prev[i].a, prev[i].b));
+        i == prev.size() || (j < cur.size() && KeyLess(cur[j], prev[i]));
     if (take_prev) {
       down->push_back(prev[i]);
       ++i;
@@ -245,33 +268,63 @@ void CheckStaticGroundNodes(const SlotRecord& prev, const SlotRecord& cur) {
   }
 }
 
-// Applies one slot's delta to a replayed state. Sorted-insert keeps the
-// lists in the same (a, b) order a fresh capture would produce.
-void ApplyDiff(std::vector<Link>* links, const std::vector<Link>& down,
-               const std::vector<Link>& up, const std::vector<Link>& weight) {
-  const auto key_less = [](const Link& x, const Link& y) {
-    return std::pair(x.a, x.b) < std::pair(y.a, y.b);
-  };
-  for (const Link& d : down) {
-    const auto it = std::lower_bound(links->begin(), links->end(), d, key_less);
-    if (it == links->end() || it->a != d.a || it->b != d.b) {
-      throw std::logic_error("replay: link_down for a link that is not up");
+// Applies one slot's delta to a replayed link list in place, in linear
+// time. `down`, `up` and `weight` are (a, b)-sorted, as DiffLinks emits
+// them; per key the downs apply first, then the ups, then the weights,
+// so a capacity change (down+up of one key) replaces the link. A forward
+// pass drops the downs, then a backward pass merges the ups in from the
+// end of the grown list. Neither pass overwrites a link it has yet to
+// read, so replay holds one copy of each list, as a fresh capture does.
+void ApplyDiff(const std::vector<Link>& down, const std::vector<Link>& up,
+               const std::vector<Link>& weight, std::vector<Link>* links) {
+  std::vector<Link>& list = *links;
+  size_t kept = 0;
+  size_t d = 0;
+  for (const Link& link : list) {
+    if (d < down.size() && Key(down[d]) <= Key(link)) {
+      if (Key(down[d]) < Key(link)) {
+        break;  // that down names a link the list does not hold
+      }
+      ++d;
+      continue;
     }
-    links->erase(it);
+    list[kept++] = link;
   }
-  for (const Link& u : up) {
-    const auto it = std::lower_bound(links->begin(), links->end(), u, key_less);
-    if (it != links->end() && it->a == u.a && it->b == u.b) {
-      throw std::logic_error("replay: link_up for a link that is already up");
-    }
-    links->insert(it, u);
+  if (d < down.size()) {
+    throw std::logic_error("replay: link_down for a link that is not up");
   }
-  for (const Link& w : weight) {
-    const auto it = std::lower_bound(links->begin(), links->end(), w, key_less);
-    if (it == links->end() || it->a != w.a || it->b != w.b) {
-      throw std::logic_error("replay: weight event for a link that is not up");
+  list.resize(kept + up.size());
+  // Backward: `out - r` equals the ups still to place, so out >= r.
+  size_t r = kept;
+  size_t out = list.size();
+  size_t u = up.size();
+  size_t w = weight.size();
+  while (u > 0 || w > 0) {
+    const uint64_t key = std::max(u > 0 ? Key(up[u - 1]) : 0,
+                                  w > 0 ? Key(weight[w - 1]) : 0);
+    while (r > 0 && Key(list[r - 1]) > key) {
+      list[--out] = list[--r];
     }
-    it->delay_ms = w.delay_ms;
+    bool present = r > 0 && Key(list[r - 1]) == key;
+    Link link = present ? list[--r] : Link{};
+    for (; u > 0 && Key(up[u - 1]) == key; --u) {
+      if (present) {
+        throw std::logic_error("replay: link_up for a link that is already up");
+      }
+      link = up[u - 1];
+      present = true;
+    }
+    // DiffLinks emits at most one weight event per key.
+    if (w > 0 && Key(weight[w - 1]) == key) {
+      if (!present) {
+        throw std::logic_error(
+            "replay: weight event for a link that is not up");
+      }
+      link.delay_ms = weight[--w].delay_ms;
+    }
+    if (present) {
+      list[--out] = link;
+    }
   }
 }
 
@@ -320,6 +373,7 @@ int NetTraceRecorder::NumSlots() const {
 
 void NetTraceRecorder::CaptureSlot(int slot, double time_sec,
                                    const NetworkModel::Snapshot& snapshot) {
+  const obs::Span span("nettrace.capture", &CaptureHistogram());
   RecorderState& state = State();
   const int num_slots = state.num_slots.load(std::memory_order_acquire);
   if (slot < 0 || slot >= num_slots) {
@@ -350,9 +404,7 @@ void NetTraceRecorder::CaptureSlot(int slot, double time_sec,
       link.capacity_gbps = rec.capacity;
       out->push_back(link);
     }
-    std::sort(out->begin(), out->end(), [](const Link& x, const Link& y) {
-      return std::pair(x.a, x.b) < std::pair(y.a, y.b);
-    });
+    std::sort(out->begin(), out->end(), KeyLess);
   };
   capture_edges(snapshot.radio_edges, &record.radio_links);
   capture_edges(snapshot.isl_edges, &record.isl_links);
@@ -415,6 +467,7 @@ void NetTraceRecorder::AddHandover(int slot, std::vector<int32_t> lost,
 }
 
 std::string NetTraceRecorder::NetStateJsonl() const {
+  const obs::Span span("nettrace.serialize", &SerializeHistogram());
   const RecorderState& state = State();
   const int num_slots = state.num_slots.load(std::memory_order_acquire);
   std::string out;
@@ -428,7 +481,7 @@ std::string NetTraceRecorder::NetStateJsonl() const {
     out.append("\",\"slot\":");
     AppendInt(&out, slot);
     out.append(",\"t\":");
-    AppendJsonDouble(&out, record.time_sec);
+    AppendJsonNumber(&out, record.time_sec);
     out.append(",\"counts\":[");
     AppendInt(&out, record.num_sats);
     out.push_back(',');
@@ -453,11 +506,11 @@ std::string NetTraceRecorder::NetStateJsonl() const {
       out.append("[\"");
       out.append(kind);
       out.append("\",");
-      AppendJsonDouble(&out, record.node_ecef[n].x);
+      AppendJsonNumber(&out, record.node_ecef[n].x);
       out.push_back(',');
-      AppendJsonDouble(&out, record.node_ecef[n].y);
+      AppendJsonNumber(&out, record.node_ecef[n].y);
       out.push_back(',');
-      AppendJsonDouble(&out, record.node_ecef[n].z);
+      AppendJsonNumber(&out, record.node_ecef[n].z);
       out.push_back(']');
     }
     out.append("],\"links\":[");
@@ -482,9 +535,15 @@ std::string NetTraceRecorder::NetStateJsonl() const {
 }
 
 std::string NetTraceRecorder::NetEventsJsonl() const {
+  return SerializeNetEvents(nullptr);
+}
+
+std::string NetTraceRecorder::SerializeNetEvents(uint64_t* events) const {
+  const obs::Span span("nettrace.serialize", &SerializeHistogram());
   const RecorderState& state = State();
   const int num_slots = state.num_slots.load(std::memory_order_acquire);
   std::string out;
+  uint64_t count = 0;
   for (int slot = 0; slot < num_slots; ++slot) {
     const SlotRecord& record = state.slots[static_cast<size_t>(slot)];
     out.append("{\"schema\":\"");
@@ -492,7 +551,7 @@ std::string NetTraceRecorder::NetEventsJsonl() const {
     out.append("\",\"slot\":");
     AppendInt(&out, slot);
     out.append(",\"t\":");
-    AppendJsonDouble(&out, record.time_sec);
+    AppendJsonNumber(&out, record.time_sec);
     const bool has_delta =
         slot > 0 && record.captured &&
         state.slots[static_cast<size_t>(slot - 1)].captured;
@@ -528,9 +587,9 @@ std::string NetTraceRecorder::NetEventsJsonl() const {
         AppendInt(&out, link.b);
         if (with_attrs) {
           out.push_back(',');
-          AppendJsonDouble(&out, link.delay_ms);
+          AppendJsonNumber(&out, link.delay_ms);
           out.push_back(',');
-          AppendJsonDouble(&out, link.capacity_gbps);
+          AppendJsonNumber(&out, link.capacity_gbps);
           out.append(",\"");
           out.append(type);
           out.push_back('"');
@@ -556,7 +615,7 @@ std::string NetTraceRecorder::NetEventsJsonl() const {
         out.push_back(',');
         AppendInt(&out, link.b);
         out.push_back(',');
-        AppendJsonDouble(&out, link.delay_ms);
+        AppendJsonNumber(&out, link.delay_ms);
         out.push_back(']');
       }
     };
@@ -570,6 +629,10 @@ std::string NetTraceRecorder::NetEventsJsonl() const {
       AppendStudyEvent(&out, event);
     }
     out.append("]}\n");
+    count += diff.Total() + record.events.size();
+  }
+  if (events != nullptr) {
+    *events = count;
   }
   return out;
 }
@@ -580,19 +643,9 @@ bool NetTraceRecorder::WriteTo(const std::string& dir) const {
   if (ec) {
     return false;
   }
-  const RecorderState& state = State();
-  const int num_slots = state.num_slots.load(std::memory_order_acquire);
+  const std::string netstate = NetStateJsonl();
   uint64_t events = 0;
-  for (int slot = 1; slot < num_slots; ++slot) {
-    const SlotRecord& record = state.slots[static_cast<size_t>(slot)];
-    const SlotRecord& prev = state.slots[static_cast<size_t>(slot - 1)];
-    if (record.captured && prev.captured) {
-      events += ComputeDiff(prev, record).Total();
-    }
-  }
-  for (int slot = 0; slot < num_slots; ++slot) {
-    events += state.slots[static_cast<size_t>(slot)].events.size();
-  }
+  const std::string netevents = SerializeNetEvents(&events);
   EventsEmittedCounter().Add(events);
   const auto write_file = [&](const char* name, const std::string& body) {
     const std::string path = dir + "/" + name;
@@ -604,11 +657,12 @@ bool NetTraceRecorder::WriteTo(const std::string& dir) const {
     std::fclose(f);
     return written == body.size();
   };
-  return write_file("netstate.jsonl", NetStateJsonl()) &&
-         write_file("netevents.jsonl", NetEventsJsonl());
+  return write_file("netstate.jsonl", netstate) &&
+         write_file("netevents.jsonl", netevents);
 }
 
 bool NetTraceRecorder::ValidateReplay(std::string* why) const {
+  const obs::Span span("nettrace.validate", &ValidateHistogram());
   const RecorderState& state = State();
   const int num_slots = state.num_slots.load(std::memory_order_acquire);
   int first = 0;
@@ -632,7 +686,7 @@ bool NetTraceRecorder::ValidateReplay(std::string* why) const {
     const SlotRecord& prev = state.slots[static_cast<size_t>(slot - 1)];
     const LinkDiff diff = ComputeDiff(prev, record);
     // Apply the delta exactly as a downstream replayer would: replace
-    // the moving node positions, splice the link lists.
+    // the moving node positions, merge the events into the link lists.
     try {
       CheckStaticGroundNodes(prev, record);
       replayed.num_aircraft = record.num_aircraft;
@@ -646,10 +700,10 @@ bool NetTraceRecorder::ValidateReplay(std::string* why) const {
                   record.num_aircraft,
                   replayed.node_ecef.begin() + record.num_sats +
                       record.num_cities + record.num_relays);
-      ApplyDiff(&replayed.radio_links, diff.radio_down, diff.radio_up,
-                diff.radio_weight);
-      ApplyDiff(&replayed.isl_links, diff.isl_down, diff.isl_up,
-                diff.isl_weight);
+      ApplyDiff(diff.radio_down, diff.radio_up, diff.radio_weight,
+                &replayed.radio_links);
+      ApplyDiff(diff.isl_down, diff.isl_up, diff.isl_weight,
+                &replayed.isl_links);
     } catch (const std::logic_error& error) {
       if (why != nullptr) {
         *why = DescribeMismatch(slot, error.what());

@@ -126,6 +126,11 @@ class NetTraceRecorder {
 
  private:
   NetTraceRecorder() = default;
+
+  // The netevents serializer behind NetEventsJsonl(). When `events` is
+  // non-null it also receives the number of events written, so WriteTo
+  // counts them in the same pass instead of diffing every slot again.
+  std::string SerializeNetEvents(uint64_t* events) const;
 };
 
 }  // namespace leosim::core

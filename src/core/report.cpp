@@ -9,6 +9,7 @@
 
 #include "core/export.hpp"
 #include "core/parallel.hpp"
+#include "obs/json_number.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 
@@ -70,16 +71,6 @@ void EmitStudySummary(const StudySummary& summary) {
       .Field("wall_s", summary.wall_seconds);
 }
 
-namespace {
-
-std::string JsonDouble(double value) {
-  char tmp[40];
-  std::snprintf(tmp, sizeof(tmp), "%.17g", value);
-  return tmp;
-}
-
-}  // namespace
-
 RunReport::RunReport(std::string run_name) : name_(std::move(run_name)) {}
 
 void RunReport::AddParam(std::string_view key, std::string_view value) {
@@ -91,7 +82,9 @@ void RunReport::AddParam(std::string_view key, const char* value) {
 }
 
 void RunReport::AddParam(std::string_view key, double value) {
-  params_.emplace_back(std::string(key), JsonDouble(value));
+  std::string text;
+  obs::AppendJsonNumber(&text, value);
+  params_.emplace_back(std::string(key), std::move(text));
 }
 
 void RunReport::AddParam(std::string_view key, int64_t value) {
@@ -116,7 +109,8 @@ std::string RunReport::ToJson() const {
   std::string out = "{\n  \"run\": ";
   out += JsonEscape(name_);
   out += ",\n  \"threads\": " + std::to_string(DefaultWorkerCount());
-  out += ",\n  \"wall_seconds\": " + JsonDouble(timer_.Seconds());
+  out += ",\n  \"wall_seconds\": ";
+  obs::AppendJsonNumber(&out, timer_.Seconds());
   out += ",\n  \"params\": {";
   for (size_t i = 0; i < params_.size(); ++i) {
     out += (i == 0 ? "\n    " : ",\n    ");
@@ -130,7 +124,9 @@ std::string RunReport::ToJson() const {
     out += ", \"snapshots_built\": " + std::to_string(s.snapshots_built);
     out += ", \"pairs_routed\": " + std::to_string(s.pairs_routed);
     out += ", \"pairs_unreachable\": " + std::to_string(s.pairs_unreachable);
-    out += ", \"wall_seconds\": " + JsonDouble(s.wall_seconds) + "}";
+    out += ", \"wall_seconds\": ";
+    obs::AppendJsonNumber(&out, s.wall_seconds);
+    out += "}";
   }
   out += "\n  ],\n  \"metrics\": ";
   // The registry emits a complete JSON object; inline it (trailing

@@ -6,6 +6,8 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "obs/json_number.hpp"
+
 namespace leosim::obs {
 
 namespace {
@@ -84,19 +86,6 @@ void AppendJsonString(std::string* out, std::string_view text) {
     }
   }
   out->push_back('"');
-}
-
-void AppendJsonDouble(std::string* out, double value) {
-  // Infinities are not JSON; they only appear as min/max of an empty
-  // histogram, exported as null.
-  if (value == std::numeric_limits<double>::infinity() ||
-      value == -std::numeric_limits<double>::infinity()) {
-    out->append("null");
-    return;
-  }
-  char tmp[40];
-  std::snprintf(tmp, sizeof(tmp), "%.17g", value);
-  out->append(tmp);
 }
 
 void AppendJsonUint(std::string* out, uint64_t value) {
@@ -248,7 +237,7 @@ std::string MetricsRegistry::ToJson() const {
     out.append(i == 0 ? "\n    " : ",\n    ");
     AppendJsonString(&out, gauges[i]->name());
     out.append(": ");
-    AppendJsonDouble(&out, gauges[i]->Value());
+    AppendJsonNumber(&out, gauges[i]->Value());
   }
   out.append("\n  },\n  \"histograms\": {");
   for (size_t i = 0; i < histograms.size(); ++i) {
@@ -258,7 +247,7 @@ std::string MetricsRegistry::ToJson() const {
     out.append(": {\n      \"upper_bounds\": [");
     for (size_t b = 0; b < merged.upper_bounds.size(); ++b) {
       if (b > 0) out.append(", ");
-      AppendJsonDouble(&out, merged.upper_bounds[b]);
+      AppendJsonNumber(&out, merged.upper_bounds[b]);
     }
     out.append("],\n      \"counts\": [");
     for (size_t b = 0; b < merged.counts.size(); ++b) {
@@ -268,13 +257,13 @@ std::string MetricsRegistry::ToJson() const {
     out.append("],\n      \"count\": ");
     AppendJsonUint(&out, merged.count);
     out.append(",\n      \"sum\": ");
-    AppendJsonDouble(&out, merged.sum);
+    AppendJsonNumber(&out, merged.sum);
     out.append(",\n      \"min\": ");
-    AppendJsonDouble(&out, merged.count > 0
+    AppendJsonNumber(&out, merged.count > 0
                                ? merged.min
                                : std::numeric_limits<double>::infinity());
     out.append(",\n      \"max\": ");
-    AppendJsonDouble(&out, merged.count > 0
+    AppendJsonNumber(&out, merged.count > 0
                                ? merged.max
                                : -std::numeric_limits<double>::infinity());
     out.append("\n    }");

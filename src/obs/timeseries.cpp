@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <limits>
 #include <memory>
 #include <tuple>
 #include <vector>
 
 #include "core/mutex.hpp"
 #include "core/thread_annotations.hpp"
+#include "obs/json_number.hpp"
 #include "obs/schemas.hpp"
 
 namespace leosim::obs {
@@ -77,19 +77,6 @@ void AppendJsonString(std::string* out, std::string_view text) {
     }
   }
   out->push_back('"');
-}
-
-void AppendJsonDouble(std::string* out, double value) {
-  // NaN/Inf are not JSON; clamp to null so one bad sample cannot
-  // invalidate the whole export.
-  if (!(value >= -std::numeric_limits<double>::max() &&
-        value <= std::numeric_limits<double>::max())) {
-    out->append("null");
-    return;
-  }
-  char tmp[40];
-  std::snprintf(tmp, sizeof(tmp), "%.17g", value);
-  out->append(tmp);
 }
 
 }  // namespace
@@ -165,9 +152,9 @@ std::string TimeseriesRecorder::ToJson() const {
     out.append(": [");
     for (size_t s = i; s < end; ++s) {
       out.append(s == i ? "\n      [" : ",\n      [");
-      AppendJsonDouble(&out, merged[s].t);
+      AppendJsonNumber(&out, merged[s].t);
       out.append(", ");
-      AppendJsonDouble(&out, merged[s].value);
+      AppendJsonNumber(&out, merged[s].value);
       out.push_back(']');
     }
     out.append("\n    ]");

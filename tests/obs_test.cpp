@@ -387,6 +387,22 @@ TEST(ObsMetricsTest, RegistryJsonIsValidAndContainsMetrics) {
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
 }
 
+TEST(ObsMetricsTest, NonFiniteGaugesExportAsNull) {
+  // NaN and ±Inf are not JSON numbers; a bad gauge must not invalidate
+  // the whole registry export.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  MetricsRegistry registry;
+  registry.GetGauge("test.nan_gauge")
+      .Set(std::numeric_limits<double>::quiet_NaN());
+  registry.GetGauge("test.inf_gauge").Set(kInf);
+  registry.GetGauge("test.ninf_gauge").Set(-kInf);
+  const std::string json = registry.ToJson();
+  EXPECT_TRUE(JsonScanner(json).Valid()) << json;
+  EXPECT_NE(json.find("\"test.nan_gauge\": null"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"test.inf_gauge\": null"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"test.ninf_gauge\": null"), std::string::npos) << json;
+}
+
 TEST(ObsTraceTest, DisabledSpansRecordNothing) {
   EnableTracing(false);
   ResetTrace();

@@ -62,6 +62,12 @@ Rules (each maps to a repo invariant documented in DESIGN.md):
                    schema bump is one diff line and the Python tooling
                    (obs_report.py, trace_check.py) has a single place
                    to stay in sync with.
+  json-number     No "%.17g" format string in src/ outside
+                   src/obs/json_number.hpp. Exporters write doubles
+                   through obs::AppendJsonNumber (shortest round-trip
+                   std::to_chars, null for NaN/Inf), so every JSON
+                   artifact formats numbers one way, at to_chars speed,
+                   and never emits bare nan/inf.
   hot-alloc       Functions taking a *Workspace parameter, every
                    method of a *Stepper class (steppers advance a
                    workspace held as a member, so their whole surface
@@ -547,6 +553,31 @@ def check_schema_header(ctx: LintContext) -> list[Finding]:
 
 
 # ---------------------------------------------------------------------------
+# json-number: one JSON number formatter. Runs over uncommented() (strings
+# kept), so prose about the old format does not trigger it but a format
+# string does.
+
+JSON_NUMBER_FORMAT_RE = re.compile(r"%\.17g")
+JSON_NUMBER_HEADER = "src/obs/json_number.hpp"
+
+
+def check_json_number(ctx: LintContext) -> list[Finding]:
+    findings = []
+    for rel in ctx.files("src/"):
+        if rel == JSON_NUMBER_HEADER:
+            continue
+        for lineno, line in enumerate(ctx.uncommented(rel).splitlines(), start=1):
+            if JSON_NUMBER_FORMAT_RE.search(line):
+                findings.append(Finding(
+                    rel, lineno, "json-number",
+                    "\"%.17g\" number formatting in src/; write JSON numbers "
+                    f"through obs::AppendJsonNumber ({JSON_NUMBER_HEADER}), "
+                    "the shortest round-trip formatter that maps NaN/Inf "
+                    "to null"))
+    return findings
+
+
+# ---------------------------------------------------------------------------
 # hot-alloc: workspace-taking functions — every method of a *Stepper
 # class, which advances a workspace held as a member rather than a
 # parameter, and every *Batch kernel entry point (batch kernels are the
@@ -855,6 +886,9 @@ RULES: list[Rule] = [
     Rule("schema-header",
          "versioned schema strings live only in src/obs/schemas.hpp",
          check_schema_header),
+    Rule("json-number",
+         "JSON numbers are formatted only by obs::AppendJsonNumber",
+         check_json_number),
     Rule("hot-alloc",
          "no allocation in workspace-taking, *Stepper, or *Batch hot-path "
          "functions",

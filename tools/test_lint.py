@@ -101,6 +101,23 @@ def test_layering_acceptance_fixture() -> None:
     print("ok: layering acceptance fixture (graph -> core/platform rejected)")
 
 
+def test_json_number_scope() -> None:
+    # The trigger's finding lands on the format string's line, not on the
+    # comment above it that also spells "%.17g".
+    hits = run_rule("json-number", FIXTURES / "json-number" / "trigger")
+    check([(f.path, f.line) for f in hits]
+          == [("src/core/report_writer.cpp", 10)],
+          f"json-number: expected one finding at report_writer.cpp:10, got "
+          f"{[(f.path, f.line) for f in hits]}")
+    # The formatter's own header is exempt even with the literal in code,
+    # and files outside src/ are out of scope (the ok/ tree has both).
+    ok = FIXTURES / "json-number" / "ok"
+    check((ok / leosim_lint.JSON_NUMBER_HEADER).is_file()
+          and (ok / "bench" / "print_table.cpp").is_file(),
+          "json-number: ok fixture lost its exempt header or bench file")
+    print("ok: json-number scope (comments, formatter header, bench/ exempt)")
+
+
 def test_fingerprint_line_independence() -> None:
     a = leosim_lint.Finding("src/x.cpp", 10, "raw-mutex", "same message")
     b = leosim_lint.Finding("src/x.cpp", 99, "raw-mutex", "same message")
@@ -198,6 +215,7 @@ def main() -> int:
     check(FIXTURES.is_dir(), f"fixture root {FIXTURES} missing")
     test_fixture_pairs()
     test_layering_acceptance_fixture()
+    test_json_number_scope()
     test_fingerprint_line_independence()
     test_baseline_roundtrip()
     test_lint_sarif_valid()
