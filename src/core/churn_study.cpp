@@ -85,9 +85,10 @@ struct SlotRoutes {
 // from the same source (see sssp_tree.hpp); the remaining pairs run
 // goal-directed A* with the straight-line latency bound, which settles
 // only the corridor around the path and agrees with Dijkstra on the
-// path whenever the shortest path is unique (an exact floating-point
-// tie between distinct paths could break differently, but both report
-// the same distance; the churn property test checks node chains too).
+// path: an exact floating-point tie between distinct shortest paths is
+// broken toward the predecessor with the lower g-value, the one
+// Dijkstra settles first (routing_reuse_property_test checks node
+// chains on real snapshots, a known tie included).
 void RouteSlotPaths(const NetworkModel::Snapshot& snap,
                     const std::vector<CityPair>& pairs,
                     const std::vector<SourceGroup>& groups, SlotRoutes* out,

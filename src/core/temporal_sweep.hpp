@@ -17,6 +17,7 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,7 @@
 #include "core/snapshot_stepper.hpp"
 #include "core/traffic_matrix.hpp"
 #include "graph/dijkstra.hpp"
+#include "graph/landmarks.hpp"
 #include "graph/sssp_tree.hpp"
 #include "graph/tree_reuse.hpp"
 
@@ -50,6 +52,12 @@ struct SweepWorkspace {
   // body turns on the graph's patch-delta recording, so bodies that
   // never do pay nothing.
   graph::TreeReuseCache tree_cache;
+  // ALT landmarks for the throughput study's edge-disjoint follow-up
+  // searches, created by the study on first use. Held by pointer so
+  // the workspaces Run constructs (one per item) keep their size: an
+  // inline table added 160 bytes to each and raised the one-thread
+  // churn sweep's peak RSS by about 0.5 MB through heap layout alone.
+  std::unique_ptr<graph::LandmarkTable> landmarks;
   // Generic study scratch: component labels + DFS stack for the
   // reachability precheck, a NodeId buffer for batched targets, and the
   // pair indices those targets came from.

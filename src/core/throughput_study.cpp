@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 #include <utility>
 
 #include "core/report.hpp"
@@ -15,28 +16,23 @@ namespace leosim::core {
 
 namespace {
 
+// Landmarks for the edge-disjoint follow-up searches: eight were as fast
+// as the default sixteen there, with half the table.
+constexpr int kDisjointLandmarks = 8;
+
 // Aggregate max-min-fair throughput over one built snapshot. The first
 // (shortest) path of every pair comes from one multi-target Dijkstra per
 // source group — bit-identical to the per-pair search the disjoint-path
 // router would run itself — and seeds KEdgeDisjointShortestPaths for the
-// remaining k-1 paths. Flows are handed to the allocator in the original
-// pair order, so the allocation matches the historical per-pair loop.
+// remaining k-1 paths, which run as ALT A* over the worker's landmark
+// table (the same paths Dijkstra finds, see disjoint_paths.hpp). Flows
+// are handed to the allocator in the original pair order, so the
+// allocation matches the historical per-pair loop.
 ThroughputResult ThroughputAtSnapshot(NetworkModel::Snapshot& snap,
                                       const std::vector<CityPair>& pairs,
                                       const std::vector<SourceGroup>& groups,
                                       int k, bool directional,
                                       SweepWorkspace* ws) {
-  // Shared model: one flow-network link per graph edge, same ids.
-  // Separate up/down: two links per edge — 2e for the a->b direction,
-  // 2e+1 for b->a — each with the full link capacity.
-  flow::FlowNetwork net;
-  for (graph::EdgeId e = 0; e < snap.graph.NumEdges(); ++e) {
-    net.AddLink(snap.graph.Edge(e).capacity);
-    if (directional) {
-      net.AddLink(snap.graph.Edge(e).capacity);
-    }
-  }
-
   // First paths, batched by source. Cross-component pairs are answered
   // by the precheck (an empty path) without settling the source's whole
   // component the way a failed Dijkstra would.
@@ -64,13 +60,27 @@ ThroughputResult ThroughputAtSnapshot(NetworkModel::Snapshot& snap,
     }
   }
 
+  // One landmark table per snapshot, built before any path edge is
+  // disabled (see landmarks.hpp on why it is never refreshed per pair).
+  if (ws->landmarks == nullptr) {
+    ws->landmarks = std::make_unique<graph::LandmarkTable>(kDisjointLandmarks);
+  }
+  if (k > 1) {
+    ws->landmarks->Rebuild(snap.graph, ws->dijkstra);
+  }
+
+  // Each flow's links, keyed first by graph edge: the edge id in the
+  // shared model; 2e for the a->b direction and 2e+1 for b->a with
+  // separate up/down capacities.
   ThroughputResult result;
+  std::vector<std::vector<flow::LinkId>> flows;
+  flows.reserve(pairs.size() * static_cast<size_t>(std::max(k, 0)));
   for (size_t i = 0; i < pairs.size(); ++i) {
     if (first[i].nodes.empty()) {
       continue;  // unreachable: no paths, pair not routed
     }
     const std::vector<graph::Path> paths = graph::KEdgeDisjointShortestPaths(
-        snap.graph, std::move(first[i]), k, ws->dijkstra);
+        snap.graph, std::move(first[i]), k, ws->dijkstra, *ws->landmarks);
     ++result.pairs_routed;
     for (const graph::Path& path : paths) {
       std::vector<flow::LinkId> links;
@@ -84,13 +94,39 @@ ThroughputResult ThroughputAtSnapshot(NetworkModel::Snapshot& snap,
           links.push_back(2 * e + (forward ? 0 : 1));
         }
       }
-      net.AddFlow(std::move(links));
-      ++result.subflows;
+      flows.push_back(std::move(links));
     }
   }
+  result.subflows = static_cast<int>(flows.size());
   if (result.pairs_routed > 0) {
     result.mean_paths_per_pair =
         static_cast<double>(result.subflows) / result.pairs_routed;
+  }
+
+  // Links only for the keys some flow uses, numbered in increasing key
+  // order. ProgressiveFilling visits active links in id order and never
+  // looks at a link no flow crosses, so this monotone renumbering gives
+  // the same rates, bit for bit, as one link per key.
+  const size_t num_keys =
+      static_cast<size_t>(snap.graph.NumEdges()) * (directional ? 2 : 1);
+  std::vector<flow::LinkId> link_of_key(num_keys, -1);
+  for (const std::vector<flow::LinkId>& links : flows) {
+    for (const flow::LinkId key : links) {
+      link_of_key[static_cast<size_t>(key)] = 0;  // used; id assigned below
+    }
+  }
+  flow::FlowNetwork net;
+  for (size_t key = 0; key < num_keys; ++key) {
+    if (link_of_key[key] >= 0) {
+      const graph::EdgeId e = static_cast<graph::EdgeId>(directional ? key / 2 : key);
+      link_of_key[key] = net.AddLink(snap.graph.Edge(e).capacity);
+    }
+  }
+  for (std::vector<flow::LinkId>& links : flows) {
+    for (flow::LinkId& link : links) {
+      link = link_of_key[static_cast<size_t>(link)];
+    }
+    net.AddFlow(std::move(links));
   }
 
   const flow::Allocation alloc = flow::MaxMinFairAllocate(net);

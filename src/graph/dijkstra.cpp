@@ -67,15 +67,33 @@ void DijkstraWorkspace::Begin(int num_nodes) {
   const size_t n = static_cast<size_t>(num_nodes);
   if (state_.size() < n) {
     state_.resize(n, NodeState{0.0, -1, 0});
+    expanded_.resize(n, 0);
   }
   if (++epoch_ == 0) {
     for (NodeState& s : state_) {
       s.stamp = 0;
     }
+    std::fill(expanded_.begin(), expanded_.end(), 0);
     epoch_ = 1;
   }
   heap_.clear();
   astar_heap_.clear();
+}
+
+EdgeId DijkstraWorkspace::DijkstraVia(const Graph& g, NodeId v) const {
+  EdgeId via = ViaEdge(v);
+  double via_g = DistanceOf(g.OtherEnd(via, v));
+  const double dv = DistanceOf(v);
+  for (const HalfEdge& half : g.Neighbours(v)) {
+    // A disabled edge's +inf weight never matches the finite dv.
+    const double gu = DistanceOf(half.to);
+    if (gu < via_g && gu + half.weight == dv &&
+        expanded_[static_cast<size_t>(half.to)] == epoch_) {
+      via = half.edge;
+      via_g = gu;
+    }
+  }
+  return via;
 }
 
 namespace {

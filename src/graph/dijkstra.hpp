@@ -64,8 +64,7 @@ class DijkstraWorkspace {
     NodeId node;
   };
   struct AStarEntry {
-    double fscore;    // distance + potential(node): the heap key
-    double distance;  // settled g-value carried to avoid recomputation
+    double fscore;  // distance + potential(node): the heap key
     NodeId node;
   };
 
@@ -111,7 +110,22 @@ class DijkstraWorkspace {
   }
   EdgeId ViaEdge(NodeId n) const { return state_[static_cast<size_t>(n)].via; }
 
+  // A* path step from `v` (labelled, not the source) toward the source,
+  // broken the way plain Dijkstra breaks exact ties. Dijkstra keeps the
+  // predecessor it settles first, the one with the lowest g-value; A*
+  // keeps the one that reached v first. So of the expanded neighbours
+  // that reach v at exactly its distance, this returns the edge from
+  // the one with the lowest g-value (the recorded one unless another is
+  // strictly lower). Out of line and run only for path nodes: tie
+  // handling inlined into ShortestPathAStar made its relax loop about
+  // 40% slower (measured with a zero potential against ShortestPath).
+  EdgeId DijkstraVia(const Graph& g, NodeId v) const;
+
   std::vector<NodeState> state_;
+  // A* only: expanded_[n] == epoch_ once n has been expanded at its
+  // current distance. It is the A* heap's stale check, so heap entries
+  // carry no g-value, and DijkstraVia's candidate test.
+  std::vector<uint32_t> expanded_;
   std::vector<QueueEntry> heap_;
   std::vector<AStarEntry> astar_heap_;
   uint32_t epoch_{0};
@@ -136,6 +150,10 @@ std::optional<Path> ShortestPath(const Graph& g, NodeId src, NodeId dst,
 // around it instead of a full distance ball — the big win for
 // repeated point-to-point queries on snapshot graphs, where the
 // straight-line propagation latency to dst is a tight lower bound.
+// Exact distance ties between predecessors are broken toward the one
+// with the lowest g-value, the one plain Dijkstra settles first, so the
+// path matches ShortestPath's even when several shortest paths exist
+// (pinned on real snapshots by tests/routing_reuse_property_test.cpp).
 // Defined inline so `potential` (typically a capturing lambda) inlines
 // into the relax loop; the arithmetic is identical for every callable
 // type, so the result does not depend on how the potential is passed.
@@ -150,8 +168,10 @@ std::optional<Path> ShortestPathAStar(const Graph& g, NodeId src, NodeId dst,
   g.FinalizeAdjacency();
   workspace.Begin(g.NumNodes());
   auto& heap = workspace.astar_heap_;
+  auto& expanded = workspace.expanded_;
+  const uint32_t epoch = workspace.epoch_;
   workspace.Relax(src, 0.0, -1);
-  heap.push_back({potential(src), 0.0, src});
+  heap.push_back({potential(src), src});
 
   // Work tallies live in locals for the duration of the loop (the
   // compiler keeps them in registers; member updates every iteration
@@ -161,23 +181,31 @@ std::optional<Path> ShortestPathAStar(const Graph& g, NodeId src, NodeId dst,
   uint64_t pushes = 0;
   while (!heap.empty()) {
     std::pop_heap(heap.begin(), heap.end(), greater);
-    const DijkstraWorkspace::AStarEntry top = heap.back();
+    const NodeId u = heap.back().node;
     heap.pop_back();
     ++pops;
-    if (top.distance > workspace.DistanceOf(top.node)) {
-      continue;  // stale entry
+    // The first of u's entries to pop expands it at its current
+    // distance (the entry pushed with that distance has the lowest
+    // f-score); any later one is stale.
+    if (expanded[static_cast<size_t>(u)] == epoch) {
+      continue;
     }
-    if (top.node == dst) {
+    if (u == dst) {
       break;  // consistent potential => dst's g-value is final here
     }
-    for (const HalfEdge& half : g.Neighbours(top.node)) {
+    expanded[static_cast<size_t>(u)] = epoch;
+    const double du = workspace.DistanceOf(u);
+    for (const HalfEdge& half : g.Neighbours(u)) {
       ++edges;
       // Disabled edges carry weight = +inf, so they never relax.
-      const double nd = top.distance + half.weight;
+      const double nd = du + half.weight;
       if (nd < workspace.DistanceOf(half.to)) {
         workspace.Relax(half.to, nd, half.edge);
+        // Re-opens the node if rounding broke consistency after it
+        // was expanded.
+        expanded[static_cast<size_t>(half.to)] = 0;
         ++pushes;
-        heap.push_back({nd + potential(half.to), nd, half.to});
+        heap.push_back({nd + potential(half.to), half.to});
         std::push_heap(heap.begin(), heap.end(), greater);
       }
     }
@@ -192,7 +220,7 @@ std::optional<Path> ShortestPathAStar(const Graph& g, NodeId src, NodeId dst,
   Path path;
   path.distance = workspace.DistanceOf(dst);
   for (NodeId cur = dst; cur != src;) {
-    const EdgeId e = workspace.ViaEdge(cur);
+    const EdgeId e = workspace.DijkstraVia(g, cur);
     path.edges.push_back(e);
     path.nodes.push_back(cur);
     cur = g.OtherEnd(e, cur);

@@ -6,13 +6,15 @@ namespace {
 
 // Shared greedy loop: starting from `paths` (whose edges are already
 // disabled and listed in `disabled_here`), keep extracting shortest
-// paths and disabling their edges until k paths exist or src/dst
-// disconnect, then restore every edge this call disabled.
+// paths with `search(src, dst)` and disabling their edges until k paths
+// exist or src/dst disconnect, then restore every edge this call
+// disabled.
+template <typename Search>
 void ExtendAndRestore(Graph& g, NodeId src, NodeId dst, int k,
-                      DijkstraWorkspace& workspace, std::vector<Path>* paths,
+                      const Search& search, std::vector<Path>* paths,
                       std::vector<EdgeId>* disabled_here) {
   while (static_cast<int>(paths->size()) < k) {
-    std::optional<Path> path = ShortestPath(g, src, dst, workspace);
+    std::optional<Path> path = search(src, dst);
     if (!path.has_value()) {
       break;
     }
@@ -27,23 +29,9 @@ void ExtendAndRestore(Graph& g, NodeId src, NodeId dst, int k,
   }
 }
 
-}  // namespace
-
-std::vector<Path> KEdgeDisjointShortestPaths(Graph& g, NodeId src, NodeId dst, int k) {
-  DijkstraWorkspace workspace;
-  return KEdgeDisjointShortestPaths(g, src, dst, k, workspace);
-}
-
-std::vector<Path> KEdgeDisjointShortestPaths(Graph& g, NodeId src, NodeId dst, int k,
-                                             DijkstraWorkspace& workspace) {
-  std::vector<Path> paths;
-  std::vector<EdgeId> disabled_here;
-  ExtendAndRestore(g, src, dst, k, workspace, &paths, &disabled_here);
-  return paths;
-}
-
-std::vector<Path> KEdgeDisjointShortestPaths(Graph& g, Path first, int k,
-                                             DijkstraWorkspace& workspace) {
+// Disables `first`'s edges, then runs the greedy loop for the rest.
+template <typename Search>
+std::vector<Path> ExtendFirst(Graph& g, Path first, int k, const Search& search) {
   std::vector<Path> paths;
   std::vector<EdgeId> disabled_here;
   if (k <= 0) {
@@ -56,8 +44,47 @@ std::vector<Path> KEdgeDisjointShortestPaths(Graph& g, Path first, int k,
     disabled_here.push_back(e);
   }
   paths.push_back(std::move(first));
-  ExtendAndRestore(g, src, dst, k, workspace, &paths, &disabled_here);
+  ExtendAndRestore(g, src, dst, k, search, &paths, &disabled_here);
   return paths;
+}
+
+}  // namespace
+
+std::vector<Path> KEdgeDisjointShortestPaths(Graph& g, NodeId src, NodeId dst, int k) {
+  DijkstraWorkspace workspace;
+  return KEdgeDisjointShortestPaths(g, src, dst, k, workspace);
+}
+
+std::vector<Path> KEdgeDisjointShortestPaths(Graph& g, NodeId src, NodeId dst, int k,
+                                             DijkstraWorkspace& workspace) {
+  std::vector<Path> paths;
+  std::vector<EdgeId> disabled_here;
+  ExtendAndRestore(
+      g, src, dst, k,
+      [&g, &workspace](NodeId s, NodeId t) {
+        return ShortestPath(g, s, t, workspace);
+      },
+      &paths, &disabled_here);
+  return paths;
+}
+
+std::vector<Path> KEdgeDisjointShortestPaths(Graph& g, Path first, int k,
+                                             DijkstraWorkspace& workspace) {
+  return ExtendFirst(g, std::move(first), k,
+                     [&g, &workspace](NodeId s, NodeId t) {
+                       return ShortestPath(g, s, t, workspace);
+                     });
+}
+
+std::vector<Path> KEdgeDisjointShortestPaths(Graph& g, Path first, int k,
+                                             DijkstraWorkspace& workspace,
+                                             LandmarkTable& landmarks) {
+  landmarks.SetDestination(first.nodes.back());
+  const auto potential = [&landmarks](NodeId n) { return landmarks.Potential(n); };
+  return ExtendFirst(g, std::move(first), k,
+                     [&g, &workspace, &potential](NodeId s, NodeId t) {
+                       return ShortestPathAStar(g, s, t, workspace, potential);
+                     });
 }
 
 }  // namespace leosim::graph

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "graph/dijkstra.hpp"
+#include "graph/landmarks.hpp"
 
 namespace leosim::graph {
 
@@ -28,5 +29,19 @@ std::vector<Path> KEdgeDisjointShortestPaths(Graph& g, NodeId src, NodeId dst, i
 // the greedy scheme's first iteration is exactly that shortest path.
 std::vector<Path> KEdgeDisjointShortestPaths(Graph& g, Path first, int k,
                                              DijkstraWorkspace& workspace);
+
+// As above with the k-1 follow-up searches run as ShortestPathAStar
+// under the ALT potential of `landmarks`, which settles a corridor
+// around each path instead of a distance ball. `landmarks` must have
+// been built (LandmarkTable::Rebuild) on `g` while every edge enabled
+// now was enabled, with the same weights; edges disabled since then
+// only raise distances, so the potential stays admissible and
+// consistent. Its destination is set to first's last node. Output
+// equals the Dijkstra overloads' (ShortestPathAStar breaks exact
+// distance ties the way Dijkstra does; pinned by
+// tests/routing_reuse_property_test.cpp).
+std::vector<Path> KEdgeDisjointShortestPaths(Graph& g, Path first, int k,
+                                             DijkstraWorkspace& workspace,
+                                             LandmarkTable& landmarks);
 
 }  // namespace leosim::graph

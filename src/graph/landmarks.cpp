@@ -37,16 +37,18 @@ void LandmarkTable::Rebuild(const Graph& g, DijkstraWorkspace& workspace) {
   // the whole chosen set. A chosen landmark has min_dist_ 0, so the
   // d > 0 requirement never re-selects one; when no strictly-positive
   // candidate remains (tiny or fully-covered graphs) selection stops
-  // early with fewer landmarks.
+  // early with fewer landmarks. Each row goes straight into the
+  // node-major layout Potential() reads (all of one node's landmark
+  // distances contiguous) at stride k.
   min_dist_.assign(static_cast<size_t>(n), kInfDistance);
-  rows_.resize(static_cast<size_t>(k) * static_cast<size_t>(n));
+  table_.resize(static_cast<size_t>(n) * static_cast<size_t>(k));
   while (static_cast<int>(landmarks_.size()) < k) {
+    const size_t l = landmarks_.size();
     landmarks_.push_back(next);
     ShortestDistancesInto(g, next, workspace, &row_);
-    std::copy(row_.begin(), row_.end(),
-              rows_.begin() + (landmarks_.size() - 1) * static_cast<size_t>(n));
     for (int v = 0; v < n; ++v) {
       const double d = row_[static_cast<size_t>(v)];
+      table_[static_cast<size_t>(v) * static_cast<size_t>(k) + l] = d;
       if (d < min_dist_[static_cast<size_t>(v)]) {
         min_dist_[static_cast<size_t>(v)] = d;
       }
@@ -68,17 +70,19 @@ void LandmarkTable::Rebuild(const Graph& g, DijkstraWorkspace& workspace) {
     }
   }
 
-  // Transpose the landmark-major staging rows into the node-major
-  // layout Potential() reads (all of one node's landmark distances
-  // contiguous).
+  // In-place compaction from stride k to stride_ < k: entry (v, l) moves
+  // from v*k + l down to v*stride_ + l, never past an unread source.
   stride_ = static_cast<int>(landmarks_.size());
-  table_.resize(static_cast<size_t>(n) * static_cast<size_t>(stride_));
-  for (int l = 0; l < stride_; ++l) {
-    const double* src = rows_.data() + static_cast<size_t>(l) * static_cast<size_t>(n);
+  if (stride_ < k) {
     for (int v = 0; v < n; ++v) {
-      table_[static_cast<size_t>(v) * static_cast<size_t>(stride_) +
-             static_cast<size_t>(l)] = src[v];
+      for (int l = 0; l < stride_; ++l) {
+        table_[static_cast<size_t>(v) * static_cast<size_t>(stride_) +
+               static_cast<size_t>(l)] =
+            table_[static_cast<size_t>(v) * static_cast<size_t>(k) +
+                   static_cast<size_t>(l)];
+      }
     }
+    table_.resize(static_cast<size_t>(n) * static_cast<size_t>(stride_));
   }
   dst_row_.assign(static_cast<size_t>(stride_), 0.0);
 }

@@ -12,8 +12,17 @@
 // pays off when many point-to-point queries hit one graph version;
 // EnsureFresh keys rebuilds on Graph::Version() to make the table safe
 // to hold across snapshot epochs.
+//
+// Graph::SetEnabled bumps Version() too, so a caller that disables
+// edges between queries (the k edge-disjoint search) must call Rebuild
+// once before any toggling and never EnsureFresh per query: that would
+// rerun every landmark Dijkstra for each query. A table built before
+// edges were disabled stays admissible and consistent, because
+// disabling an edge only raises distances and leaves the weight of
+// every edge still enabled unchanged.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -81,9 +90,9 @@ class LandmarkTable {
     double best = 0.0;
     for (int l = 0; l < stride_; ++l) {
       const double diff = std::fabs(row[l] - dst_row_[static_cast<size_t>(l)]);
-      if (std::isfinite(diff) && diff > best) {
-        best = diff;
-      }
+      // Branch-free: the running max mispredicts as a branch, and
+      // diff < +inf is false for both +inf and NaN.
+      best = std::max(best, diff < kInfDistance ? diff : 0.0);
     }
     return kPotentialSlack * best;
   }
@@ -103,7 +112,6 @@ class LandmarkTable {
   std::vector<double> dst_row_; // active destination's row, stride_ wide
   // Rebuild scratch, kept warm across snapshot epochs.
   std::vector<double> row_;       // one landmark's distance row
-  std::vector<double> rows_;      // landmark-major staging before transpose
   std::vector<double> min_dist_;  // farthest-point selection state
 };
 

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "graph/components.hpp"
 #include "graph/dijkstra.hpp"
@@ -114,6 +117,41 @@ TEST(DijkstraTest, UnreachableDistanceIsInfinite) {
   g.AddEdge(0, 1, 5.0);
   const std::vector<double> dist = ShortestDistances(g, 0);
   EXPECT_EQ(dist[2], kInfDistance);
+}
+
+// Two shortest paths of equal length, src-a-dst (1 + 2) and src-b-dst
+// (2 + 1). Dijkstra settles a (g = 1) before b (g = 2), so dst keeps
+// a as its predecessor. Under the consistent potential below A* pops b
+// first (f = 2 < 2.9) and reaches dst through b; the exact-tie rule
+// must pick a, the tied predecessor with the lower g. The disabled
+// edge from src to an isolated node (+inf weight, never labelled) must
+// not count as a tied predecessor.
+TEST(DijkstraTest, AStarBreaksExactTiesLikeDijkstra) {
+  constexpr NodeId kSrc = 0;
+  constexpr NodeId kA = 1;
+  constexpr NodeId kB = 2;
+  constexpr NodeId kDst = 3;
+  constexpr NodeId kIsolated = 4;
+  Graph g(5);
+  g.AddEdge(kSrc, kA, 1.0);
+  g.AddEdge(kA, kDst, 2.0);
+  g.AddEdge(kSrc, kB, 2.0);
+  g.AddEdge(kB, kDst, 1.0);
+  g.SetEnabled(g.AddEdge(kSrc, kIsolated, 1.0), false);
+  const std::vector<double> h = {0.95, 1.9, 0.0, 0.0, 0.0};
+  const auto potential = [&h](NodeId n) { return h[static_cast<size_t>(n)]; };
+
+  DijkstraWorkspace ws_ref;
+  DijkstraWorkspace ws_astar;
+  const auto ref = ShortestPath(g, kSrc, kDst, ws_ref);
+  const auto astar = ShortestPathAStar(g, kSrc, kDst, ws_astar, potential);
+  ASSERT_TRUE(ref.has_value());
+  ASSERT_TRUE(astar.has_value());
+  EXPECT_EQ(ref->nodes, (std::vector<NodeId>{kSrc, kA, kDst}));
+  EXPECT_EQ(astar->nodes, ref->nodes);
+  EXPECT_EQ(astar->edges, ref->edges);
+  EXPECT_EQ(std::bit_cast<uint64_t>(astar->distance),
+            std::bit_cast<uint64_t>(ref->distance));
 }
 
 TEST(DisjointPathsTest, FindsAllThreeDiamondPaths) {

@@ -1,21 +1,31 @@
 // Property tests for the landmark (ALT) potentials and the cross-slot
 // tree-reuse cache: both are pure accelerations, so every answer they
 // produce must be *bit-identical* — distances and node chains — to the
-// plain Dijkstra reference, and the end-to-end churn study must not
-// change under them at any thread count.
+// plain Dijkstra reference, and the end-to-end churn and throughput
+// studies must not change under them (churn at any thread count;
+// throughput against a one-link-per-edge flow network built from
+// public calls).
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
+#include <optional>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "core/churn_study.hpp"
 #include "core/network_builder.hpp"
+#include "core/throughput_study.hpp"
 #include "core/traffic_matrix.hpp"
 #include "data/cities.hpp"
+#include "data/city_catalog.hpp"
+#include "flow/flow_network.hpp"
+#include "flow/maxmin.hpp"
 #include "graph/dijkstra.hpp"
+#include "graph/disjoint_paths.hpp"
 #include "graph/landmarks.hpp"
 #include "graph/sssp_tree.hpp"
 #include "graph/tree_reuse.hpp"
@@ -28,9 +38,11 @@ bool BitEq(double x, double y) {
 }
 
 // ALT-guided A* vs plain Dijkstra over real snapshot graphs: identical
-// optional-ness, bit-identical distance, identical node chain (the
-// admissible consistent potential cannot change which path wins, only
-// how much of the graph the search settles).
+// optional-ness, bit-identical distance, identical node chain. An
+// admissible consistent potential cannot change the shortest distance,
+// only how much of the graph the search settles; which of several
+// equally short paths wins is fixed by A*'s exact-tie rule (see
+// AltDisjointPathsBreakTheKnownTieLikeDijkstra below for a real tie).
 TEST(LandmarkRouting, AltAStarMatchesDijkstraOnSnapshots) {
   core::NetworkOptions options;
   options.mode = core::ConnectivityMode::kHybrid;
@@ -263,6 +275,208 @@ TEST(RoutingReuseProperty, ChurnAggregateThreadInvariant) {
   EXPECT_TRUE(BitEq(a.mean_jaccard, b.mean_jaccard));
   EXPECT_TRUE(BitEq(a.mean_rtt_jitter_ms, b.mean_rtt_jitter_ms));
   EXPECT_EQ(a.pairs_evaluated, b.pairs_evaluated);
+}
+
+// The inputs of the Fig. 4 throughput workload for one seed: 400
+// cities (anchors plus seeded synthetic ones), 2.5-degree relays,
+// aircraft on, 120 sampled pairs, bent-pipe and hybrid models.
+struct Fig4Inputs {
+  std::vector<data::City> cities;
+  std::unique_ptr<core::NetworkModel> bp;
+  std::unique_ptr<core::NetworkModel> hybrid;
+  std::vector<core::CityPair> pairs;
+};
+
+const Fig4Inputs& Fig4InputsSeed8() {
+  static const Fig4Inputs inputs = [] {
+    constexpr uint64_t kSeed = 8;
+    Fig4Inputs in;
+    in.cities = data::GenerateWorldCities(400, kSeed);
+    core::NetworkOptions options;
+    options.relay_spacing_deg = 2.5;
+    options.use_aircraft = true;
+    options.seed = kSeed;
+    options.mode = core::ConnectivityMode::kBentPipe;
+    in.bp = std::make_unique<core::NetworkModel>(core::Scenario::Starlink(),
+                                                 options, in.cities);
+    options.mode = core::ConnectivityMode::kHybrid;
+    in.hybrid = std::make_unique<core::NetworkModel>(core::Scenario::Starlink(),
+                                                     options, in.cities);
+    core::TrafficMatrixOptions pair_options;
+    pair_options.num_pairs = 120;
+    pair_options.seed = kSeed;
+    in.pairs = core::SampleCityPairs(in.cities, pair_options);
+    return in;
+  }();
+  return inputs;
+}
+
+void ExpectSamePaths(const std::vector<graph::Path>& alt,
+                     const std::vector<graph::Path>& ref,
+                     const std::string& where) {
+  ASSERT_EQ(alt.size(), ref.size()) << where;
+  for (size_t p = 0; p < ref.size(); ++p) {
+    EXPECT_EQ(alt[p].nodes, ref[p].nodes) << where << " path " << p;
+    EXPECT_EQ(alt[p].edges, ref[p].edges) << where << " path " << p;
+    EXPECT_TRUE(BitEq(alt[p].distance, ref[p].distance))
+        << where << " path " << p;
+  }
+}
+
+// ALT-seeded k edge-disjoint paths (the throughput study's search: the
+// first path given, an eight-landmark table built once per snapshot
+// before any edge is disabled) vs the from-scratch Dijkstra overload,
+// for every sampled pair of both models at two slots.
+TEST(LandmarkRouting, AltDisjointPathsMatchDijkstraOnSnapshots) {
+  const Fig4Inputs& in = Fig4InputsSeed8();
+  graph::DijkstraWorkspace ws_ref;
+  graph::DijkstraWorkspace ws_alt;
+  graph::LandmarkTable table(8);
+  for (const core::NetworkModel* model : {in.bp.get(), in.hybrid.get()}) {
+    for (const double t : {0.0, 900.0}) {
+      core::NetworkModel::Snapshot snap = model->BuildSnapshot(t);
+      table.Rebuild(snap.graph, ws_alt);
+      int routed = 0;
+      for (size_t i = 0; i < in.pairs.size(); ++i) {
+        const graph::NodeId src = snap.CityNode(in.pairs[i].a);
+        const graph::NodeId dst = snap.CityNode(in.pairs[i].b);
+        const std::vector<graph::Path> ref =
+            graph::KEdgeDisjointShortestPaths(snap.graph, src, dst, 4, ws_ref);
+        const std::optional<graph::Path> first =
+            graph::ShortestPath(snap.graph, src, dst, ws_alt);
+        ASSERT_EQ(first.has_value(), !ref.empty());
+        if (!first.has_value()) {
+          continue;
+        }
+        ++routed;
+        const std::vector<graph::Path> alt = graph::KEdgeDisjointShortestPaths(
+            snap.graph, *first, 4, ws_alt, table);
+        ExpectSamePaths(alt, ref,
+                        (model == in.bp.get() ? "bp" : "hybrid") +
+                            std::string(" t=") + std::to_string(t) +
+                            " pair " + std::to_string(i));
+      }
+      EXPECT_GT(routed, 0);
+    }
+  }
+}
+
+// The known tie: in the hybrid snapshot at t=0, pair 87's third
+// edge-disjoint path (8 hops, 34.17622944417387 ms) has a node with two
+// predecessors that reach it at exactly the same distance. Plain A*
+// took the other predecessor there; the exact-tie rule must pick
+// Dijkstra's.
+TEST(LandmarkRouting, AltDisjointPathsBreakTheKnownTieLikeDijkstra) {
+  constexpr size_t kPair = 87;
+  const Fig4Inputs& in = Fig4InputsSeed8();
+  core::NetworkModel::Snapshot snap = in.hybrid->BuildSnapshot(0.0);
+  graph::DijkstraWorkspace ws;
+  graph::LandmarkTable table(8);
+  table.Rebuild(snap.graph, ws);
+  const graph::NodeId src = snap.CityNode(in.pairs[kPair].a);
+  const graph::NodeId dst = snap.CityNode(in.pairs[kPair].b);
+  const std::vector<graph::Path> ref =
+      graph::KEdgeDisjointShortestPaths(snap.graph, src, dst, 4, ws);
+  ASSERT_GE(ref.size(), 3u);
+  EXPECT_EQ(ref[2].HopCount(), 8);
+  EXPECT_TRUE(BitEq(ref[2].distance, 34.17622944417387)) << ref[2].distance;
+
+  // The tie is real: with the first two paths' edges disabled, some node
+  // of the third path has two neighbours u with d(u) + w(u, v) == d(v).
+  for (const size_t p : {size_t{0}, size_t{1}}) {
+    for (const graph::EdgeId e : ref[p].edges) {
+      snap.graph.SetEnabled(e, false);
+    }
+  }
+  std::vector<double> dist;
+  graph::ShortestDistancesInto(snap.graph, src, ws, &dist);
+  int tied_nodes = 0;
+  for (size_t h = 1; h < ref[2].nodes.size(); ++h) {
+    const graph::NodeId v = ref[2].nodes[h];
+    int tight = 0;
+    for (const graph::HalfEdge& half : snap.graph.Neighbours(v)) {
+      tight += dist[static_cast<size_t>(half.to)] + half.weight ==
+                       dist[static_cast<size_t>(v)]
+                   ? 1
+                   : 0;
+    }
+    tied_nodes += tight > 1 ? 1 : 0;
+  }
+  EXPECT_EQ(tied_nodes, 1);
+  snap.graph.EnableAllEdges();
+
+  const std::optional<graph::Path> first =
+      graph::ShortestPath(snap.graph, src, dst, ws);
+  ASSERT_TRUE(first.has_value());
+  ExpectSamePaths(
+      graph::KEdgeDisjointShortestPaths(snap.graph, *first, 4, ws, table), ref,
+      "hybrid t=0 pair 87");
+}
+
+// RunThroughputStudy against a reference built from public calls: one
+// flow-network link per graph edge (two per edge, one each way, for
+// separate up/down capacities), k Dijkstra edge-disjoint paths per
+// pair, max-min fill. The study gives links only to the edges its paths
+// use and routes the follow-up paths with ALT A*; neither may move any
+// output bit.
+core::ThroughputResult ReferenceThroughput(const core::NetworkModel& model,
+                                           const std::vector<core::CityPair>& pairs,
+                                           int k, double t, bool directional) {
+  core::NetworkModel::Snapshot snap = model.BuildSnapshot(t);
+  flow::FlowNetwork net;
+  for (graph::EdgeId e = 0; e < snap.graph.NumEdges(); ++e) {
+    net.AddLink(snap.graph.Edge(e).capacity);
+    if (directional) {
+      net.AddLink(snap.graph.Edge(e).capacity);
+    }
+  }
+  core::ThroughputResult result;
+  for (const core::CityPair& pair : pairs) {
+    const std::vector<graph::Path> paths = graph::KEdgeDisjointShortestPaths(
+        snap.graph, snap.CityNode(pair.a), snap.CityNode(pair.b), k);
+    if (paths.empty()) {
+      continue;
+    }
+    ++result.pairs_routed;
+    for (const graph::Path& path : paths) {
+      std::vector<flow::LinkId> links;
+      for (size_t h = 0; h < path.edges.size(); ++h) {
+        const graph::EdgeId e = path.edges[h];
+        const bool forward = snap.graph.Edge(e).a == path.nodes[h];
+        links.push_back(directional ? 2 * e + (forward ? 0 : 1) : e);
+      }
+      net.AddFlow(std::move(links));
+      ++result.subflows;
+    }
+  }
+  result.mean_paths_per_pair =
+      static_cast<double>(result.subflows) / result.pairs_routed;
+  result.total_gbps = flow::MaxMinFairAllocate(net).total_gbps;
+  return result;
+}
+
+TEST(LandmarkRouting, ThroughputStudyMatchesOneLinkPerEdgeReference) {
+  const Fig4Inputs& in = Fig4InputsSeed8();
+  for (const core::NetworkModel* model : {in.bp.get(), in.hybrid.get()}) {
+    for (const core::CapacityModel capacity :
+         {core::CapacityModel::kSharedPerLink,
+          core::CapacityModel::kSeparateUpDown}) {
+      const bool directional = capacity == core::CapacityModel::kSeparateUpDown;
+      const core::ThroughputResult got =
+          core::RunThroughputStudy(*model, in.pairs, 4, 0.0, capacity);
+      const core::ThroughputResult want =
+          ReferenceThroughput(*model, in.pairs, 4, 0.0, directional);
+      const std::string where = std::string(model == in.bp.get() ? "bp" : "hybrid") +
+                                (directional ? " up/down" : " shared");
+      EXPECT_GT(want.pairs_routed, 0) << where;
+      EXPECT_EQ(got.pairs_routed, want.pairs_routed) << where;
+      EXPECT_EQ(got.subflows, want.subflows) << where;
+      EXPECT_TRUE(BitEq(got.mean_paths_per_pair, want.mean_paths_per_pair))
+          << where;
+      EXPECT_TRUE(BitEq(got.total_gbps, want.total_gbps))
+          << where << ": " << got.total_gbps << " vs " << want.total_gbps;
+    }
+  }
 }
 
 }  // namespace
