@@ -17,7 +17,6 @@
 #include "data/city_catalog.hpp"
 #include "flow/maxmin.hpp"
 #include "geo/geodesic.hpp"
-#include "graph/bidirectional.hpp"
 #include "graph/disjoint_paths.hpp"
 #include "graph/yen.hpp"
 #include "ground/relay_grid.hpp"
@@ -159,15 +158,6 @@ int main(int argc, char** argv) {
         const int b = (i * 7 + 41) % snap.num_cities;
         const auto path = graph::ShortestPath(snap.graph, snap.CityNode(a),
                                               snap.CityNode(b), workspace);
-        g_sink += path ? path->distance : 0.0;
-      }
-    });
-    suite.Run("bidirectional_dijkstra_pair", reps, 32, [&] {
-      for (int i = 0; i < 32; ++i) {
-        const int a = i % snap.num_cities;
-        const int b = (i * 7 + 41) % snap.num_cities;
-        const auto path = graph::BidirectionalShortestPath(
-            snap.graph, snap.CityNode(a), snap.CityNode(b));
         g_sink += path ? path->distance : 0.0;
       }
     });

@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -67,15 +68,6 @@ int Usage() {
   return 2;
 }
 
-int FindCityIndex(const std::vector<data::City>& cities, const std::string& name) {
-  for (int i = 0; i < static_cast<int>(cities.size()); ++i) {
-    if (cities[static_cast<size_t>(i)].name == name) {
-      return i;
-    }
-  }
-  return -1;
-}
-
 int CmdRoute(const std::string& a, const std::string& b, bool bent_pipe) {
   core::NetworkOptions options;
   options.mode =
@@ -83,9 +75,12 @@ int CmdRoute(const std::string& a, const std::string& b, bool bent_pipe) {
   options.relay_spacing_deg = 3.0;
   const core::NetworkModel model(core::Scenario::Starlink(), options,
                                  data::AnchorCities());
-  const int ia = FindCityIndex(model.cities(), a);
-  const int ib = FindCityIndex(model.cities(), b);
-  if (ia < 0 || ib < 0) {
+  int ia = -1;
+  int ib = -1;
+  try {
+    ia = data::CityIndexByName(model.cities(), a);
+    ib = data::CityIndexByName(model.cities(), b);
+  } catch (const std::invalid_argument&) {
     std::printf("unknown city (try `leosim_cli cities`)\n");
     return 1;
   }

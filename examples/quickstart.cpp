@@ -3,6 +3,7 @@
 //
 //   ./quickstart [cityA] [cityB]      (defaults: London, New York)
 #include <cstdio>
+#include <stdexcept>
 
 #include "core/network_builder.hpp"
 #include "data/cities.hpp"
@@ -37,12 +38,10 @@ int main(int argc, char** argv) {
   // 5. Route between two cities.
   int idx_a = -1;
   int idx_b = -1;
-  const auto& cities = model.cities();
-  for (int i = 0; i < static_cast<int>(cities.size()); ++i) {
-    if (cities[static_cast<size_t>(i)].name == city_a) idx_a = i;
-    if (cities[static_cast<size_t>(i)].name == city_b) idx_b = i;
-  }
-  if (idx_a < 0 || idx_b < 0) {
+  try {
+    idx_a = data::CityIndexByName(model.cities(), city_a);
+    idx_b = data::CityIndexByName(model.cities(), city_b);
+  } catch (const std::invalid_argument&) {
     std::printf("unknown city; try e.g. Tokyo, Paris, Sydney, Durban\n");
     return 1;
   }

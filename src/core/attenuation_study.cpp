@@ -1,26 +1,13 @@
 #include "core/attenuation_study.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "core/report.hpp"
+#include "data/cities.hpp"
 #include "geo/geodesic.hpp"
 #include "itur/slant_path.hpp"
 
 namespace leosim::core {
-
-namespace {
-
-int CityIndexByName(const std::vector<data::City>& cities, const std::string& name) {
-  for (int i = 0; i < static_cast<int>(cities.size()); ++i) {
-    if (cities[static_cast<size_t>(i)].name == name) {
-      return i;
-    }
-  }
-  throw std::invalid_argument("city not present in the model's city list: " + name);
-}
-
-}  // namespace
 
 double WorstLinkAttenuationDb(const NetworkModel& model,
                               const NetworkModel::Snapshot& snap,
@@ -106,14 +93,14 @@ PathAttenuationCcdf TracePairAttenuation(const NetworkModel& bp_model,
   PathAttenuationCcdf out;
   out.exceedance_pct = exceedances;
 
+  const int a_bp = data::CityIndexByName(bp_model.cities(), city_a);
+  const int b_bp = data::CityIndexByName(bp_model.cities(), city_b);
+  const int a_isl = data::CityIndexByName(isl_model.cities(), city_a);
+  const int b_isl = data::CityIndexByName(isl_model.cities(), city_b);
   NetworkModel::SnapshotWorkspace bp_ws;
   NetworkModel::SnapshotWorkspace isl_ws;
   const NetworkModel::Snapshot& bp_snap = bp_model.BuildSnapshot(time_sec, &bp_ws);
   const NetworkModel::Snapshot& isl_snap = isl_model.BuildSnapshot(time_sec, &isl_ws);
-  const int a_bp = CityIndexByName(bp_model.cities(), city_a);
-  const int b_bp = CityIndexByName(bp_model.cities(), city_b);
-  const int a_isl = CityIndexByName(isl_model.cities(), city_a);
-  const int b_isl = CityIndexByName(isl_model.cities(), city_b);
 
   const auto bp_path = graph::ShortestPath(bp_snap.graph, bp_snap.CityNode(a_bp),
                                            bp_snap.CityNode(b_bp));

@@ -5,14 +5,13 @@
 #include <cstdint>
 #include <limits>
 #include <span>
-#include <stdexcept>
 
 #include "core/net_trace.hpp"
 #include "core/report.hpp"
 #include "core/routing_tiers.hpp"
 #include "core/snapshot_stepper.hpp"
 #include "core/temporal_sweep.hpp"
-#include "graph/components.hpp"
+#include "data/cities.hpp"
 #include "graph/dijkstra.hpp"
 #include "obs/timeseries.hpp"
 
@@ -21,15 +20,6 @@ namespace leosim::core {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-int CityIndexByName(const std::vector<data::City>& cities, const std::string& name) {
-  for (int i = 0; i < static_cast<int>(cities.size()); ++i) {
-    if (cities[static_cast<size_t>(i)].name == name) {
-      return i;
-    }
-  }
-  throw std::invalid_argument("city not in list: " + name);
-}
 
 // Jaccard similarity over two sorted node-id runs. Shortest paths never
 // repeat a node, so a sorted run is exactly the node set the historical
@@ -74,21 +64,10 @@ struct SlotRoutes {
   }
 };
 
-// Routes every pair against one snapshot with the shared tier policy
-// (core/routing_tiers.hpp). Cross-component pairs are answered by the
-// component precheck without any search (a plain Dijkstra that fails
-// settles the source's whole component — the most expensive query shape
-// there is); sources with >= kTreeBatchThreshold surviving destinations
-// run one multi-target Dijkstra — through the workspace's
-// TreeReuseCache, a plain Build unless the snapshot's graph records
-// patch deltas — which is bit-identical to per-pair graph::ShortestPath
-// from the same source (see sssp_tree.hpp); the remaining pairs run
-// goal-directed A* with the straight-line latency bound, which settles
-// only the corridor around the path and agrees with Dijkstra on the
-// path: an exact floating-point tie between distinct shortest paths is
-// broken toward the predecessor with the lower g-value, the one
-// Dijkstra settles first (routing_reuse_property_test checks node
-// chains on real snapshots, a known tie included).
+// Routes every pair against one snapshot through the shared tier
+// dispatch (core/routing_tiers.hpp), whose tree and A* tiers both give
+// the node chain plain Dijkstra gives (routing_reuse_property_test
+// checks this on real snapshots, a known tie included).
 void RouteSlotPaths(const NetworkModel::Snapshot& snap,
                     const std::vector<CityPair>& pairs,
                     const std::vector<SourceGroup>& groups, SlotRoutes* out,
@@ -98,52 +77,18 @@ void RouteSlotPaths(const NetworkModel::Snapshot& snap,
   out->begin.assign(n, 0);
   out->end.assign(n, 0);
   out->nodes.clear();
-  // Appends one routed pair's answer: sorted node run + round-trip time.
-  const auto emit = [out](size_t pair, const graph::Path& path) {
-    out->rtt[pair] = 2.0 * path.distance;
-    out->begin[pair] = static_cast<uint32_t>(out->nodes.size());
-    out->nodes.insert(out->nodes.end(), path.nodes.begin(), path.nodes.end());
-    out->end[pair] = static_cast<uint32_t>(out->nodes.size());
-    std::sort(out->nodes.begin() + out->begin[pair], out->nodes.end());
-  };
-  graph::ConnectedComponentsInto(snap.graph, &ws->labels, &ws->stack);
-  for (const SourceGroup& group : groups) {
-    const graph::NodeId src = snap.CityNode(group.src_city);
-    const int src_label = ws->labels[static_cast<size_t>(src)];
-    ws->targets.clear();
-    ws->target_pairs.clear();
-    for (const int i : group.pair_indices) {
-      const graph::NodeId dst = snap.CityNode(pairs[static_cast<size_t>(i)].b);
-      if (ws->labels[static_cast<size_t>(dst)] == src_label) {
-        ws->targets.push_back(dst);
-        ws->target_pairs.push_back(i);
-      }
-    }
-    if (ws->targets.empty()) {
-      continue;
-    }
-    if (ws->targets.size() >= kTreeBatchThreshold) {
-      const graph::TreeReuseCache::RouteView view = ws->tree_cache.Route(
-          snap.graph, src, ws->targets, ws->dijkstra, ws->tree);
-      for (size_t j = 0; j < ws->targets.size(); ++j) {
-        const auto path = view.PathTo(ws->targets[j]);
-        emit(static_cast<size_t>(ws->target_pairs[j]), *path);
-      }
-    } else {
-      for (size_t j = 0; j < ws->targets.size(); ++j) {
-        const graph::NodeId dst = ws->targets[j];
-        const geo::Vec3 dst_pos = snap.node_ecef[static_cast<size_t>(dst)];
-        // Plain lambda (not graph::PotentialFn) so it inlines into the
-        // A* relax loop.
-        const auto potential = [&snap, &dst_pos](graph::NodeId n) {
-          return EuclideanLatencyPotential(snap.node_ecef, n, dst_pos);
-        };
-        const auto path = graph::ShortestPathAStar(snap.graph, src, dst,
-                                                   ws->dijkstra, potential);
-        emit(static_cast<size_t>(ws->target_pairs[j]), *path);
-      }
-    }
-  }
+  // Appends each routed pair's answer: sorted node run + round-trip time.
+  RouteSourceGroups(
+      snap, pairs, groups, *ws,
+      [out](int i, double distance, const auto& path_of) {
+        const graph::Path path = path_of();
+        const size_t pair = static_cast<size_t>(i);
+        out->rtt[pair] = 2.0 * distance;
+        out->begin[pair] = static_cast<uint32_t>(out->nodes.size());
+        out->nodes.insert(out->nodes.end(), path.nodes.begin(), path.nodes.end());
+        out->end[pair] = static_cast<uint32_t>(out->nodes.size());
+        std::sort(out->nodes.begin() + out->begin[pair], out->nodes.end());
+      });
 }
 
 // Routes every slot of the schedule in parallel into per-slot tables.
@@ -181,8 +126,8 @@ ChurnStats RunChurnStudy(const NetworkModel& model, const std::string& city_a,
   summary.study = "churn";
   const std::vector<double> times = schedule.Times();
   const std::vector<CityPair> pairs = {
-      {CityIndexByName(model.cities(), city_a),
-       CityIndexByName(model.cities(), city_b)}};
+      {data::CityIndexByName(model.cities(), city_a),
+       data::CityIndexByName(model.cities(), city_b)}};
   const std::vector<SlotRoutes> slots = SweepRoutes(model, pairs, times, "churn");
   summary.snapshots_built = static_cast<uint64_t>(times.size());
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <stdexcept>
 #include <string>
 
 #include "core/net_trace.hpp"
@@ -11,8 +10,8 @@
 #include "core/snapshot_stepper.hpp"
 #include "core/stats.hpp"
 #include "core/temporal_sweep.hpp"
+#include "data/cities.hpp"
 #include "geo/coordinates.hpp"
-#include "graph/components.hpp"
 #include "graph/dijkstra.hpp"
 #include "link/radio.hpp"
 #include "obs/timeseries.hpp"
@@ -37,59 +36,20 @@ std::vector<PairRttSeries> InitSeries(const std::vector<CityPair>& pairs,
 }
 
 // Fills snapshot column `slot` of every pair's series from one built
-// snapshot. Three cost tiers per pair, cheapest first:
-//   1. component precheck — cross-component pairs stay +inf without any
-//      search (a failed search would otherwise settle the whole
-//      component);
-//   2. sources with >= kTreeBatchThreshold surviving destinations run
-//      ONE multi-target Dijkstra (ShortestPathTree) shared by all of
-//      them;
-//   3. remaining pairs run goal-directed A* with the straight-line
-//      latency bound.
+// snapshot through the shared tier dispatch (core/routing_tiers.hpp).
+// Unreachable pairs are never visited, so their column stays +inf.
 // Writes only this slot's column, so concurrent calls for distinct
 // slots never conflict.
-void RouteSlotRtts(const NetworkModel::Snapshot& snap, size_t slot,
-                   const std::vector<CityPair>& pairs,
-                   const std::vector<SourceGroup>& groups,
-                   std::vector<PairRttSeries>* series, SweepWorkspace* ws) {
-  graph::ConnectedComponentsInto(snap.graph, &ws->labels, &ws->stack);
-  for (const SourceGroup& group : groups) {
-    const graph::NodeId src = snap.CityNode(group.src_city);
-    const int src_label = ws->labels[static_cast<size_t>(src)];
-    ws->targets.clear();
-    ws->target_pairs.clear();
-    for (const int i : group.pair_indices) {
-      const graph::NodeId dst = snap.CityNode(pairs[static_cast<size_t>(i)].b);
-      // Different component: unreachable; the series column is already
-      // initialised to +inf.
-      if (ws->labels[static_cast<size_t>(dst)] == src_label) {
-        ws->targets.push_back(dst);
-        ws->target_pairs.push_back(i);
-      }
-    }
-    if (ws->targets.size() >= kTreeBatchThreshold) {
-      ws->tree.Build(snap.graph, src, ws->targets, ws->dijkstra);
-      for (size_t j = 0; j < ws->targets.size(); ++j) {
-        // RTT = out-and-back over the same path: 2x the one-way latency.
-        (*series)[static_cast<size_t>(ws->target_pairs[j])].rtt_ms[slot] =
-            2.0 * ws->tree.DistanceTo(ws->targets[j]);
-      }
-    } else {
-      for (size_t j = 0; j < ws->targets.size(); ++j) {
-        const graph::NodeId dst = ws->targets[j];
-        const geo::Vec3 dst_pos = snap.node_ecef[static_cast<size_t>(dst)];
-        // Plain lambda (not graph::PotentialFn) so it inlines into the
-        // A* relax loop.
-        const auto potential = [&snap, &dst_pos](graph::NodeId n) {
-          return EuclideanLatencyPotential(snap.node_ecef, n, dst_pos);
-        };
-        const auto path = graph::ShortestPathAStar(snap.graph, src, dst,
-                                                   ws->dijkstra, potential);
-        (*series)[static_cast<size_t>(ws->target_pairs[j])].rtt_ms[slot] =
-            path.has_value() ? 2.0 * path->distance : kInf;
-      }
-    }
-  }
+void RouteSlot(const NetworkModel::Snapshot& snap, size_t slot,
+               const std::vector<CityPair>& pairs,
+               const std::vector<SourceGroup>& groups,
+               std::vector<PairRttSeries>* series, SweepWorkspace* ws) {
+  RouteSourceGroups(snap, pairs, groups, *ws,
+                    [series, slot](int i, double distance, const auto&) {
+                      // RTT = out-and-back over the same path.
+                      (*series)[static_cast<size_t>(i)].rtt_ms[slot] =
+                          2.0 * distance;
+                    });
 }
 
 // One sample per snapshot per series: the cross-pair RTT distribution
@@ -260,11 +220,11 @@ LatencyStudyResult RunLatencyStudy(const NetworkModel& bp_model,
       if (net_trace.Enabled()) {
         net_trace.CaptureSlot(item.slot, item.time_sec, snap);
       }
-      RouteSlotRtts(snap, slot, pairs, groups, &result.hybrid, &ws);
+      RouteSlot(snap, slot, pairs, groups, &result.hybrid, &ws);
       for (const graph::EdgeId e : snap.isl_edges) {
         snap.graph.SetEnabled(e, false);
       }
-      RouteSlotRtts(snap, slot, pairs, groups, &result.bp, &ws);
+      RouteSlot(snap, slot, pairs, groups, &result.bp, &ws);
       for (const graph::EdgeId e : snap.isl_edges) {
         snap.graph.SetEnabled(e, true);
       }
@@ -286,7 +246,7 @@ LatencyStudyResult RunLatencyStudy(const NetworkModel& bp_model,
       if (item.stream == 1 && net_trace.Enabled()) {
         net_trace.CaptureSlot(item.slot, item.time_sec, snap);
       }
-      RouteSlotRtts(snap, static_cast<size_t>(item.slot), pairs, groups, series,
+      RouteSlot(snap, static_cast<size_t>(item.slot), pairs, groups, series,
                     &ws);
     });
     snapshots_built = 2 * static_cast<uint64_t>(slots);
@@ -315,16 +275,8 @@ std::vector<PathObservation> TracePairPath(const NetworkModel& model,
                                            const std::string& city_a,
                                            const std::string& city_b,
                                            const SnapshotSchedule& schedule) {
-  const std::vector<data::City>& cities = model.cities();
-  int idx_a = -1;
-  int idx_b = -1;
-  for (int i = 0; i < static_cast<int>(cities.size()); ++i) {
-    if (cities[static_cast<size_t>(i)].name == city_a) idx_a = i;
-    if (cities[static_cast<size_t>(i)].name == city_b) idx_b = i;
-  }
-  if (idx_a < 0 || idx_b < 0) {
-    throw std::invalid_argument("city not present in the model's city list");
-  }
+  const int idx_a = data::CityIndexByName(model.cities(), city_a);
+  const int idx_b = data::CityIndexByName(model.cities(), city_b);
 
   const StudyTimer timer;
   StudySummary summary;

@@ -1,10 +1,10 @@
 #include "core/multishell_study.hpp"
 
 #include <limits>
-#include <stdexcept>
 
 #include "core/report.hpp"
 #include "core/temporal_sweep.hpp"
+#include "data/cities.hpp"
 #include "graph/dijkstra.hpp"
 
 namespace leosim::core {
@@ -12,15 +12,6 @@ namespace leosim::core {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-int CityIndexByName(const std::vector<data::City>& cities, const std::string& name) {
-  for (int i = 0; i < static_cast<int>(cities.size()); ++i) {
-    if (cities[static_cast<size_t>(i)].name == name) {
-      return i;
-    }
-  }
-  throw std::invalid_argument("city not in list: " + name);
-}
 
 }  // namespace
 
@@ -36,8 +27,8 @@ MultishellResult RunMultishellStudy(const Scenario& scenario,
   const NetworkModel single(scenario, options, cities);
   const NetworkModel dual(scenario, options, cities, {second_shell});
 
-  const int idx_a = CityIndexByName(single.cities(), city_a);
-  const int idx_b = CityIndexByName(single.cities(), city_b);
+  const int idx_a = data::CityIndexByName(single.cities(), city_a);
+  const int idx_b = data::CityIndexByName(single.cities(), city_b);
 
   const StudyTimer timer;
   StudySummary summary;

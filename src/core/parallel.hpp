@@ -1,6 +1,7 @@
 // Minimal parallel-for over independent work items (snapshots are
 // embarrassingly parallel: each builds its own graph and routes its own
-// pairs). Used by the latency study; harmless with 1 thread.
+// pairs). Used by TemporalSweep (core/temporal_sweep.hpp), which fans
+// out every slot-parallel study; harmless with 1 thread.
 #pragma once
 
 #include <functional>

@@ -40,17 +40,20 @@ namespace leosim::core {
 struct SweepWorkspace {
   NetworkModel::SnapshotWorkspace snapshot;
   // Incremental stepping state for bodies that build snapshots through
-  // BuildOrStepSnapshot: with dynamic slot claiming a worker's successive
-  // items are usually adjacent slots, so fine-spaced sweeps step far more
-  // often than they rebuild. Bodies that call BuildSnapshot directly
-  // simply leave it cold.
+  // BuildOrStepSnapshot. It steps when the worker's previous item was a
+  // nearby slot. Workers claim slots one at a time, so that holds on one
+  // thread but not on several: traced runs of perfbench's 10-s churn
+  // sweep (30 slots) took 1 build and 58 recompactions at one thread,
+  // and 5-6 builds and 4,400-4,950 recompactions at four. Bodies that
+  // call BuildSnapshot directly simply leave it cold.
   SnapshotStepper stepper;
   graph::DijkstraWorkspace dijkstra;
   graph::ShortestPathTree tree;
-  // Cross-slot tree reuse for bodies that route through it (see
-  // graph/tree_reuse.hpp). A pure passthrough to tree.Build unless the
-  // body turns on the graph's patch-delta recording, so bodies that
-  // never do pay nothing.
+  // Cross-slot tree reuse (graph/tree_reuse.hpp). No study uses it: they
+  // route through RouteSourceGroups (core/routing_tiers.hpp), which
+  // builds ws.tree directly. It stays only for perfbench's replay, which
+  // routes its churn tree batches through this field; bench_pipeline
+  // benchmarks the cache with an instance of its own.
   graph::TreeReuseCache tree_cache;
   // ALT landmarks for the throughput study's edge-disjoint follow-up
   // searches, created by the study on first use. Held by pointer so

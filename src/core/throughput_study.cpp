@@ -6,9 +6,9 @@
 #include <utility>
 
 #include "core/report.hpp"
+#include "core/routing_tiers.hpp"
 #include "core/temporal_sweep.hpp"
 #include "flow/maxmin.hpp"
-#include "graph/components.hpp"
 #include "graph/disjoint_paths.hpp"
 #include "obs/timeseries.hpp"
 
@@ -21,44 +21,25 @@ namespace {
 constexpr int kDisjointLandmarks = 8;
 
 // Aggregate max-min-fair throughput over one built snapshot. The first
-// (shortest) path of every pair comes from one multi-target Dijkstra per
-// source group — bit-identical to the per-pair search the disjoint-path
-// router would run itself — and seeds KEdgeDisjointShortestPaths for the
-// remaining k-1 paths, which run as ALT A* over the worker's landmark
-// table (the same paths Dijkstra finds, see disjoint_paths.hpp). Flows
-// are handed to the allocator in the original pair order, so the
-// allocation matches the historical per-pair loop.
+// (shortest) path of every pair comes from the shared tier dispatch
+// (core/routing_tiers.hpp) — the path the per-pair Dijkstra search of
+// the disjoint-path router would find — and seeds
+// KEdgeDisjointShortestPaths for the remaining k-1 paths, which run as
+// ALT A* over the worker's landmark table (the same paths Dijkstra
+// finds, see disjoint_paths.hpp). Flows are handed to the allocator in
+// the original pair order, so the allocation matches the historical
+// per-pair loop.
 ThroughputResult ThroughputAtSnapshot(NetworkModel::Snapshot& snap,
                                       const std::vector<CityPair>& pairs,
                                       const std::vector<SourceGroup>& groups,
                                       int k, bool directional,
                                       SweepWorkspace* ws) {
-  // First paths, batched by source. Cross-component pairs are answered
-  // by the precheck (an empty path) without settling the source's whole
-  // component the way a failed Dijkstra would.
+  // An unreachable pair keeps an empty first path.
   std::vector<graph::Path> first(pairs.size());
-  graph::ConnectedComponentsInto(snap.graph, &ws->labels, &ws->stack);
-  for (const SourceGroup& group : groups) {
-    const graph::NodeId src = snap.CityNode(group.src_city);
-    const int src_label = ws->labels[static_cast<size_t>(src)];
-    ws->targets.clear();
-    ws->target_pairs.clear();
-    for (const int i : group.pair_indices) {
-      const graph::NodeId dst = snap.CityNode(pairs[static_cast<size_t>(i)].b);
-      if (ws->labels[static_cast<size_t>(dst)] == src_label) {
-        ws->targets.push_back(dst);
-        ws->target_pairs.push_back(i);
-      }
-    }
-    if (ws->targets.empty()) {
-      continue;
-    }
-    ws->tree.Build(snap.graph, src, ws->targets, ws->dijkstra);
-    for (size_t j = 0; j < ws->targets.size(); ++j) {
-      first[static_cast<size_t>(ws->target_pairs[j])] =
-          std::move(*ws->tree.PathTo(ws->targets[j]));
-    }
-  }
+  RouteSourceGroups(snap, pairs, groups, *ws,
+                    [&first](int i, double, const auto& path_of) {
+                      first[static_cast<size_t>(i)] = path_of();
+                    });
 
   // One landmark table per snapshot, built before any path edge is
   // disabled (see landmarks.hpp on why it is never refreshed per pair).

@@ -35,4 +35,9 @@ const City& FindCity(const std::string& name);
 // True if an anchor city with this name exists.
 bool HasCity(const std::string& name);
 
+// Index of the first city named `name` in `cities` (a model's or study's
+// own list, not only the anchors); throws std::invalid_argument naming
+// the city if absent.
+int CityIndexByName(const std::vector<City>& cities, const std::string& name);
+
 }  // namespace leosim::data

@@ -1,7 +1,12 @@
 // Integration tests over the experiment drivers, at reduced scale.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <stdexcept>
+#include <string>
+
 #include "core/attenuation_study.hpp"
+#include "core/churn_study.hpp"
 #include "core/fiber_study.hpp"
 #include "core/gso_study.hpp"
 #include "core/latency_study.hpp"
@@ -119,9 +124,42 @@ TEST(LatencyStudyTest, TracePairPathObservesHops) {
   EXPECT_GT(reachable, 0);
 }
 
+// Every entry point that takes city names rejects an unknown one with
+// std::invalid_argument naming the city.
+void ExpectUnknownCityNamed(const std::function<void()>& call,
+                            const std::string& where) {
+  try {
+    call();
+    ADD_FAILURE() << where << ": no exception";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("Atlantis"), std::string::npos)
+        << where << ": " << e.what();
+  }
+}
+
 TEST(LatencyStudyTest, UnknownCityThrows) {
-  EXPECT_THROW(TracePairPath(BpModel(), "Atlantis", "London", ShortSchedule()),
-               std::invalid_argument);
+  ExpectUnknownCityNamed(
+      [] { TracePairPath(BpModel(), "Atlantis", "London", ShortSchedule()); },
+      "latency trace");
+  ExpectUnknownCityNamed(
+      [] { TracePairPath(BpModel(), "London", "Atlantis", ShortSchedule()); },
+      "latency trace");
+  ExpectUnknownCityNamed(
+      [] { RunChurnStudy(BpModel(), "Atlantis", "London", ShortSchedule()); },
+      "churn");
+  ExpectUnknownCityNamed(
+      [] {
+        TracePairAttenuation(BpModel(), BpModel(), "London", "Atlantis", 0.0,
+                             {1.0}, AttenuationOptions{});
+      },
+      "attenuation");
+  ExpectUnknownCityNamed(
+      [] {
+        RunMultishellStudy(Scenario::Starlink(), orbit::PolarShell(),
+                           {data::FindCity("London"), data::FindCity("Paris")},
+                           "Atlantis", "Paris", ShortSchedule());
+      },
+      "multishell");
 }
 
 TEST(ThroughputStudyTest, HybridBeatsBentPipe) {

@@ -1,10 +1,10 @@
-// Property tests for the landmark (ALT) potentials and the cross-slot
-// tree-reuse cache: both are pure accelerations, so every answer they
-// produce must be *bit-identical* — distances and node chains — to the
-// plain Dijkstra reference, and the end-to-end churn and throughput
-// studies must not change under them (churn at any thread count;
-// throughput against a one-link-per-edge flow network built from
-// public calls).
+// Property tests for the landmark (ALT) potentials, the studies' shared
+// routing-tier dispatch and the cross-slot tree-reuse cache: all are pure
+// accelerations, so every answer they produce must be *bit-identical* —
+// distances and node chains — to the plain Dijkstra reference, and the
+// end-to-end churn and throughput studies must not change under them
+// (churn at any thread count; throughput against a one-link-per-edge
+// flow network built from public calls).
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -18,6 +18,8 @@
 
 #include "core/churn_study.hpp"
 #include "core/network_builder.hpp"
+#include "core/routing_tiers.hpp"
+#include "core/temporal_sweep.hpp"
 #include "core/throughput_study.hpp"
 #include "core/traffic_matrix.hpp"
 #include "data/cities.hpp"
@@ -95,6 +97,87 @@ TEST(LandmarkRouting, AltAStarMatchesDijkstraOnSnapshots) {
       if (ref.has_value()) {
         EXPECT_LE(table.Potential(src), ref->distance);
       }
+    }
+  }
+}
+
+// The shared tier dispatch against per-pair Dijkstra on a bent-pipe and
+// a hybrid snapshot. Sources have 1, 2, 3 and 6 reachable destinations,
+// so both the A* tier (1-2) and the tree tier (3+) answer; Lagos is cut
+// off from the graph, so the component precheck must drop it from the
+// 2-destination and the 6-destination source and never visit it.
+TEST(RoutingTiers, DispatchVisitsExactlyThePairsDijkstraReaches) {
+  const std::vector<data::City>& cities = data::AnchorCities();
+  const auto pair = [&cities](const char* a, const char* b) {
+    return core::CityPair{data::CityIndexByName(cities, a),
+                          data::CityIndexByName(cities, b)};
+  };
+  const std::vector<core::CityPair> pairs = {
+      pair("London", "New York"),
+      pair("Paris", "Rome"), pair("Paris", "Lagos"), pair("Paris", "Chicago"),
+      pair("Berlin", "Warsaw"), pair("Berlin", "Vienna"), pair("Berlin", "Cairo"),
+      pair("Madrid", "Lisbon"), pair("Madrid", "Moscow"), pair("Madrid", "Lagos"),
+      pair("Madrid", "Tokyo"), pair("Madrid", "Sydney"), pair("Madrid", "Istanbul"),
+      pair("Madrid", "Delhi")};
+  const std::vector<core::SourceGroup> groups = core::GroupPairsBySource(pairs);
+  const int lagos = data::CityIndexByName(cities, "Lagos");
+
+  core::NetworkOptions options;
+  options.relay_spacing_deg = 4.0;
+  options.use_aircraft = false;
+  for (const core::ConnectivityMode mode :
+       {core::ConnectivityMode::kBentPipe, core::ConnectivityMode::kHybrid}) {
+    options.mode = mode;
+    const core::NetworkModel model(core::Scenario::Starlink(), options, cities);
+    core::NetworkModel::Snapshot snap = model.BuildSnapshot(0.0);
+    std::vector<graph::EdgeId> cut;
+    for (const graph::HalfEdge& half : snap.graph.Neighbours(snap.CityNode(lagos))) {
+      cut.push_back(half.edge);
+    }
+    ASSERT_FALSE(cut.empty());
+    for (const graph::EdgeId e : cut) {
+      snap.graph.SetEnabled(e, false);
+    }
+
+    core::SweepWorkspace ws;
+    std::vector<int> visits(pairs.size(), 0);
+    std::vector<double> distance(pairs.size(), 0.0);
+    std::vector<graph::Path> path(pairs.size());
+    core::RouteSourceGroups(snap, pairs, groups, ws,
+                            [&](int i, double d, const auto& path_of) {
+                              const size_t at = static_cast<size_t>(i);
+                              ++visits[at];
+                              distance[at] = d;
+                              path[at] = path_of();
+                            });
+
+    const std::string where =
+        mode == core::ConnectivityMode::kBentPipe ? "bp" : "hybrid";
+    graph::DijkstraWorkspace ws_ref;
+    int reached = 0;
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      const std::optional<graph::Path> ref = graph::ShortestPath(
+          snap.graph, snap.CityNode(pairs[i].a), snap.CityNode(pairs[i].b),
+          ws_ref);
+      if (!ref.has_value()) {
+        EXPECT_EQ(visits[i], 0) << where << " pair " << i;
+        continue;
+      }
+      ++reached;
+      ASSERT_EQ(visits[i], 1) << where << " pair " << i;
+      EXPECT_EQ(path[i].nodes, ref->nodes) << where << " pair " << i;
+      EXPECT_EQ(path[i].edges, ref->edges) << where << " pair " << i;
+      EXPECT_TRUE(BitEq(path[i].distance, ref->distance)) << where << " pair " << i;
+      EXPECT_TRUE(BitEq(distance[i], ref->distance)) << where << " pair " << i;
+    }
+    EXPECT_EQ(visits[2], 0) << where;
+    EXPECT_EQ(visits[9], 0) << where;
+    // Over ISLs every pair but the two into Lagos routes, so each source
+    // keeps its intended tier.
+    if (mode == core::ConnectivityMode::kHybrid) {
+      EXPECT_EQ(reached, static_cast<int>(pairs.size()) - 2);
+    } else {
+      EXPECT_GT(reached, 0);
     }
   }
 }
@@ -244,9 +327,8 @@ TEST_F(TreeReuseTest, OverflowAndRecordingOffDegradeSafely) {
   ExpectMatchesFresh(view, src, targets);
 }
 
-// End-to-end: the churn study (which routes through the cache and the
-// shared tier policy) must produce bit-identical aggregates at 1 and 4
-// threads.
+// End-to-end: the churn study (which routes through the shared tier
+// dispatch) must produce bit-identical aggregates at 1 and 4 threads.
 TEST(RoutingReuseProperty, ChurnAggregateThreadInvariant) {
   core::NetworkOptions options;
   options.mode = core::ConnectivityMode::kHybrid;

@@ -41,6 +41,13 @@ Rules (each maps to a repo invariant documented in DESIGN.md):
                    use the workspace overload BuildSnapshot(t, &ws) so
                    sweeps reuse graph/index storage instead of
                    reallocating per slot.
+  tier-dispatch   No routing-tier mechanics in study drivers
+                   (src/core/*_study.cpp): ConnectedComponentsInto,
+                   ShortestPathAStar, kTreeBatchThreshold, tree.Build
+                   and tree_cache.Route belong to RouteSourceGroups
+                   (src/core/routing_tiers.hpp), the one dispatch every
+                   pair-routing study calls, so per-study copies of the
+                   policy cannot grow back and drift apart.
   layering        The module DAG under src/ (LAYER_DEPS below) is
                    enforced on the #include graph: e.g. geo/obs include
                    nothing above them, graph never includes core, core
@@ -388,6 +395,30 @@ def check_snapshot_workspace(ctx: LintContext) -> list[Finding]:
                     rel, lineno, "snapshot-workspace",
                     "allocating BuildSnapshot(t) in a study driver; use the "
                     "workspace overload BuildSnapshot(t, &ws)"))
+    return findings
+
+
+# ---------------------------------------------------------------------------
+# tier-dispatch: the component precheck, tree batching and A* tiers live
+# only in RouteSourceGroups (src/core/routing_tiers.hpp).
+
+TIER_DISPATCH_RE = re.compile(
+    r"\b(?:ConnectedComponentsInto|ShortestPathAStar|kTreeBatchThreshold)\b"
+    r"|\btree\s*(?:\.|->)\s*Build\s*\(|\btree_cache\s*(?:\.|->)\s*Route\s*\("
+)
+
+
+def check_tier_dispatch(ctx: LintContext) -> list[Finding]:
+    findings = []
+    for rel in ctx.files("src/core/", pattern=r"src/core/\w+_study\.cpp"):
+        for lineno, line in enumerate(ctx.stripped(rel).splitlines(), start=1):
+            m = TIER_DISPATCH_RE.search(line)
+            if m:
+                findings.append(Finding(
+                    rel, lineno, "tier-dispatch",
+                    f"routing-tier mechanics (`{m.group(0).rstrip('(').strip()}`) "
+                    "in a study driver; route pairs through RouteSourceGroups "
+                    "(src/core/routing_tiers.hpp)"))
     return findings
 
 
@@ -874,6 +905,9 @@ RULES: list[Rule] = [
     Rule("snapshot-workspace",
          "study drivers use the workspace BuildSnapshot overload",
          check_snapshot_workspace),
+    Rule("tier-dispatch",
+         "study drivers route pairs through RouteSourceGroups only",
+         check_tier_dispatch),
     Rule("layering",
          "the src/ include graph respects the declared layer DAG",
          check_layering),
