@@ -3,37 +3,184 @@
 // Times the three layers that dominate every figure reproduction —
 // snapshot construction, satellite-visibility queries, and single-pair
 // shortest paths — plus the end-to-end latency study (the paper's Fig. 2
-// inner loop) whose wall-clock is the repo's headline perf number. Run
-// with fixed flags so successive JSON records are comparable:
+// inner loop) whose wall-clock is the repo's headline perf number, and
+// the library kernels behind the other figures, including the ablations
+// DESIGN.md §5 calls out (spherical vs WGS84 conversions, indexed vs
+// brute-force visibility). Takes the flags of cli/flags.hpp. Run with
+// fixed flags so successive JSON records are comparable:
 //
 //   bench_pipeline --pairs=100 --snapshots=4 --spacing=3
 //
 // The committed BENCH_pipeline.json at the repo root is the baseline for
 // the CI perf-smoke job; refresh it (same flags, quiet machine) whenever
 // a PR intentionally moves these numbers.
+#include <algorithm>
+#include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
-#include "bench_common.hpp"
 #include "core/churn_study.hpp"
 #include "core/latency_study.hpp"
 #include "core/net_trace.hpp"
 #include "core/parallel.hpp"
 #include "core/scenario.hpp"
 #include "core/snapshot_stepper.hpp"
+#include "core/traffic_matrix.hpp"
+#include "data/city_catalog.hpp"
+#include "flags.hpp"
 #include "flow/flow_network.hpp"
 #include "flow/maxmin.hpp"
+#include "geo/coordinates.hpp"
 #include "geo/geodesic.hpp"
 #include "geo/soa.hpp"
 #include "graph/dijkstra.hpp"
+#include "graph/disjoint_paths.hpp"
 #include "graph/landmarks.hpp"
 #include "graph/sssp_tree.hpp"
 #include "graph/tree_reuse.hpp"
+#include "graph/yen.hpp"
+#include "ground/relay_grid.hpp"
+#include "itur/slant_path.hpp"
 #include "link/visibility.hpp"
 
 namespace {
 
 using namespace leosim;
+
+// BenchSuite: each benchmark runs `reps` repetitions of a timed block
+// (each block performing `iters_per_rep` operations) and records the
+// MEDIAN ns/op, so one-off scheduler hiccups do not skew the perf
+// trajectory tracked in git. The emitted JSON schema (BENCH_pipeline.json):
+//
+//   {
+//     "suite": "<name>",
+//     "config": { "<key>": "<value>", ... },
+//     "results": [
+//       { "name": "<bench>", "reps": N, "iters_per_rep": M,
+//         "median_ns_per_op": X, "min_ns_per_op": Y, "max_ns_per_op": W,
+//         "mad_ns_per_op": D, "ops_per_sec": Z,
+//         "samples_ns": [S1, S2, ...] },
+//       ...
+//     ]
+//   }
+//
+// max_ns_per_op, mad_ns_per_op, and samples_ns are schema-additive:
+// older records without them stay valid, and tooling keyed on
+// median/min keeps working unchanged. samples_ns holds every rep's
+// ns/op in run order — the raw distribution obs_report.py feeds its
+// Mann-Whitney significance test; mad_ns_per_op is the median absolute
+// deviation, the matching robust spread estimate.
+struct BenchResult {
+  std::string name;
+  int reps{0};
+  int64_t iters_per_rep{0};
+  double median_ns_per_op{0.0};
+  double min_ns_per_op{0.0};
+  double max_ns_per_op{0.0};
+  double mad_ns_per_op{0.0};
+  double ops_per_sec{0.0};
+  std::vector<double> samples_ns;  // per-rep ns/op, run order
+};
+
+class BenchSuite {
+ public:
+  explicit BenchSuite(std::string name) : name_(std::move(name)) {}
+
+  void AddConfig(const std::string& key, const std::string& value) {
+    config_.emplace_back(key, value);
+  }
+
+  // Runs `fn` (a block of `iters_per_rep` operations) `reps` times and
+  // records the median per-operation latency. Prints a human-readable row
+  // as it goes so the binary is useful interactively too.
+  template <typename Fn>
+  void Run(const std::string& bench_name, int reps, int64_t iters_per_rep, Fn&& fn) {
+    std::vector<double> ns_per_op(static_cast<size_t>(reps));
+    for (int r = 0; r < reps; ++r) {
+      const auto start = std::chrono::steady_clock::now();
+      fn();
+      const auto stop = std::chrono::steady_clock::now();
+      const double ns =
+          std::chrono::duration<double, std::nano>(stop - start).count();
+      ns_per_op[static_cast<size_t>(r)] = ns / static_cast<double>(iters_per_rep);
+    }
+    BenchResult result;
+    result.name = bench_name;
+    result.reps = reps;
+    result.iters_per_rep = iters_per_rep;
+    result.samples_ns = ns_per_op;  // run order, before the stats sort
+    std::sort(ns_per_op.begin(), ns_per_op.end());
+    result.min_ns_per_op = ns_per_op.front();
+    result.max_ns_per_op = ns_per_op.back();
+    const auto median_of = [](std::vector<double>& sorted) {
+      const size_t mid = sorted.size() / 2;
+      return sorted.size() % 2 == 1 ? sorted[mid]
+                                    : 0.5 * (sorted[mid - 1] + sorted[mid]);
+    };
+    result.median_ns_per_op = median_of(ns_per_op);
+    std::vector<double> deviations(ns_per_op.size());
+    for (size_t i = 0; i < ns_per_op.size(); ++i) {
+      deviations[i] = std::abs(ns_per_op[i] - result.median_ns_per_op);
+    }
+    std::sort(deviations.begin(), deviations.end());
+    result.mad_ns_per_op = median_of(deviations);
+    result.ops_per_sec =
+        result.median_ns_per_op > 0.0 ? 1e9 / result.median_ns_per_op : 0.0;
+    std::printf(
+        "%-32s median %14.1f ns/op   min %14.1f ns/op   max %14.1f ns/op   "
+        "%12.1f ops/s\n",
+        bench_name.c_str(), result.median_ns_per_op, result.min_ns_per_op,
+        result.max_ns_per_op, result.ops_per_sec);
+    std::fflush(stdout);
+    results_.push_back(std::move(result));
+  }
+
+  // Writes the JSON record; returns false (with a stderr note) on I/O error.
+  bool WriteJson(const std::string& path) const {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    if (f == nullptr) {
+      std::fprintf(stderr, "bench: cannot write %s\n", path.c_str());
+      return false;
+    }
+    std::fprintf(f, "{\n  \"suite\": \"%s\",\n  \"config\": {", name_.c_str());
+    for (size_t i = 0; i < config_.size(); ++i) {
+      std::fprintf(f, "%s\n    \"%s\": \"%s\"", i == 0 ? "" : ",",
+                   config_[i].first.c_str(), config_[i].second.c_str());
+    }
+    std::fprintf(f, "\n  },\n  \"results\": [");
+    for (size_t i = 0; i < results_.size(); ++i) {
+      const BenchResult& r = results_[i];
+      std::fprintf(f,
+                   "%s\n    { \"name\": \"%s\", \"reps\": %d, "
+                   "\"iters_per_rep\": %lld, \"median_ns_per_op\": %.1f, "
+                   "\"min_ns_per_op\": %.1f, \"max_ns_per_op\": %.1f, "
+                   "\"mad_ns_per_op\": %.1f, \"ops_per_sec\": %.1f, "
+                   "\"samples_ns\": [",
+                   i == 0 ? "" : ",", r.name.c_str(), r.reps,
+                   static_cast<long long>(r.iters_per_rep), r.median_ns_per_op,
+                   r.min_ns_per_op, r.max_ns_per_op, r.mad_ns_per_op,
+                   r.ops_per_sec);
+      for (size_t s = 0; s < r.samples_ns.size(); ++s) {
+        std::fprintf(f, "%s%.1f", s == 0 ? "" : ", ", r.samples_ns[s]);
+      }
+      std::fprintf(f, "] }");
+    }
+    std::fprintf(f, "\n  ]\n}\n");
+    std::fclose(f);
+    std::printf("# wrote %s\n", path.c_str());
+    return true;
+  }
+
+ private:
+  std::string name_;
+  std::vector<std::pair<std::string, std::string>> config_;
+  std::vector<BenchResult> results_;
+};
 
 uint64_t Splitmix64(uint64_t& state) {
   state += 0x9e3779b97f4a7c15ULL;
@@ -67,19 +214,28 @@ flow::FlowNetwork MakeFillNetwork(int num_links, int num_flows) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::BenchConfig config = bench::ParseFlags(argc, argv);
-  bench::ApplyObsConfig(config);
-  bench::PrintConfig(config, "snapshot-pipeline benchmark");
+  cli::StudyConfig config;
+  const std::string error = cli::ParseFlags({argv + 1, argv + argc}, &config);
+  if (!error.empty()) {
+    std::fprintf(stderr, "bench_pipeline: %s\n", error.c_str());
+    return 2;
+  }
+  if (config.help) {
+    std::printf("%s", cli::kFlagsHelp);
+    return 0;
+  }
+  cli::ApplyObsConfig(config);
+  cli::PrintConfig(config, "snapshot-pipeline benchmark");
 
-  const std::vector<data::City> cities = bench::MakeCities(config);
+  const std::vector<data::City> cities = cli::MakeCities(config);
   const core::Scenario scenario = core::Scenario::Starlink();
   const core::NetworkModel hybrid(
-      scenario, bench::MakeOptions(config, core::ConnectivityMode::kHybrid), cities);
+      scenario, cli::MakeOptions(config, core::ConnectivityMode::kHybrid), cities);
   const core::NetworkModel bent_pipe(
-      scenario, bench::MakeOptions(config, core::ConnectivityMode::kBentPipe), cities);
-  const std::vector<core::CityPair> pairs = bench::MakePairs(config, cities);
+      scenario, cli::MakeOptions(config, core::ConnectivityMode::kBentPipe), cities);
+  const std::vector<core::CityPair> pairs = cli::MakePairs(config, cities);
 
-  bench::BenchSuite suite("pipeline");
+  BenchSuite suite("pipeline");
   suite.AddConfig("constellation", "starlink-s1");
   suite.AddConfig("cities", std::to_string(cities.size()));
   suite.AddConfig("pairs", std::to_string(pairs.size()));
@@ -111,7 +267,7 @@ int main(int argc, char** argv) {
   //     rebuilding. Uses a no-aircraft model — dynamic nodes force full
   //     rebuilds, and the stepper refuses them (see snapshot_stepper.hpp).
   core::NetworkOptions stepped_options =
-      bench::MakeOptions(config, core::ConnectivityMode::kHybrid);
+      cli::MakeOptions(config, core::ConnectivityMode::kHybrid);
   stepped_options.use_aircraft = false;
   const core::NetworkModel stepped_model(scenario, stepped_options, cities);
   {
@@ -243,7 +399,7 @@ int main(int argc, char** argv) {
   // 4. End-to-end latency study (Fig. 2 inner loop): BP + hybrid snapshots
   //    and every pair's shortest path at every timestep.
   {
-    const core::SnapshotSchedule schedule = bench::MakeSchedule(config);
+    const core::SnapshotSchedule schedule = cli::MakeSchedule(config);
     suite.Run("latency_study_e2e", 5, 1, [&] {
       const core::LatencyStudyResult result =
           core::RunLatencyStudy(bent_pipe, hybrid, pairs, schedule);
@@ -255,7 +411,7 @@ int main(int argc, char** argv) {
   //    schedule, which exercises the sweep driver, per-worker workspace
   //    reuse, and the one-to-many route batching in one number.
   {
-    const core::SnapshotSchedule schedule = bench::MakeSchedule(config);
+    const core::SnapshotSchedule schedule = cli::MakeSchedule(config);
     suite.Run("temporal_sweep", 5, 1, [&] {
       const core::AggregateChurn churn =
           core::RunAggregateChurnStudy(hybrid, pairs, schedule);
@@ -375,7 +531,118 @@ int main(int argc, char** argv) {
     std::printf("# maxmin checksum: %.3f Gbps total\n", fill_checksum);
   }
 
+  // 7. Library kernels the figures share: coordinate conversions,
+  //    geodesics, brute-force visibility (the index's reference), k
+  //    edge-disjoint and Yen k-shortest paths, the max-min allocator on
+  //    a larger synthetic network, ITU-R slant paths, relay grids and
+  //    traffic-matrix sampling.
+  {
+    double checksum = 0.0;
+    const geo::GeodeticCoord g{47.4, 8.5, 0.4};
+    suite.Run("geodetic_to_ecef_spherical", 5, 100000, [&] {
+      for (int i = 0; i < 100000; ++i) {
+        checksum += geo::GeodeticToEcef(g).x;
+      }
+    });
+    suite.Run("geodetic_to_ecef_wgs84", 5, 100000, [&] {
+      for (int i = 0; i < 100000; ++i) {
+        checksum += geo::GeodeticToEcefWgs84(g).x;
+      }
+    });
+
+    const geo::GeodeticCoord london{51.5, -0.13, 0.0};
+    const geo::GeodeticCoord sydney{-33.9, 151.2, 0.0};
+    suite.Run("great_circle_distance", 5, 100000, [&] {
+      for (int i = 0; i < 100000; ++i) {
+        checksum += geo::GreatCircleDistanceKm(london, sydney);
+      }
+    });
+
+    const std::vector<geo::Vec3> sats = hybrid.constellation().PositionsEcef(0.0);
+    const geo::Vec3 paris = geo::GeodeticToEcef({48.9, 2.35, 0.0});
+    suite.Run("visibility_query_brute", 5, 50, [&] {
+      for (int i = 0; i < 50; ++i) {
+        checksum += static_cast<double>(
+            link::VisibleSatellitesBruteForce(paris, sats, 25.0).size());
+      }
+    });
+
+    // Non-const: Yen/disjoint-path searches toggle edges during the run.
+    core::NetworkModel::Snapshot snap = hybrid.BuildSnapshot(0.0);
+    for (const int k : {1, 4}) {
+      suite.Run("k_disjoint_paths_k" + std::to_string(k), 5, 8, [&] {
+        for (int i = 0; i < 8; ++i) {
+          const int a = i % snap.num_cities;
+          const int b = (i * 7 + 41) % snap.num_cities;
+          checksum += static_cast<double>(
+              graph::KEdgeDisjointShortestPaths(snap.graph, snap.CityNode(a),
+                                                snap.CityNode(b), k)
+                  .size());
+        }
+      });
+    }
+    suite.Run("yen_k_shortest_k4", 5, 2, [&] {
+      for (int i = 0; i < 2; ++i) {
+        const int a = i % snap.num_cities;
+        const int b = (i * 7 + 41) % snap.num_cities;
+        checksum += static_cast<double>(
+            graph::KShortestPaths(snap.graph, snap.CityNode(a), snap.CityNode(b), 4)
+                .size());
+      }
+    });
+
+    // Synthetic network: 2000 links, 5000 flows of ~8 hops.
+    flow::FlowNetwork net;
+    for (int l = 0; l < 2000; ++l) {
+      net.AddLink(20.0 + (l % 5) * 20.0);
+    }
+    uint64_t x = 12345;
+    auto next = [&x] {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      return x;
+    };
+    for (int f = 0; f < 5000; ++f) {
+      std::vector<flow::LinkId> path;
+      for (int h = 0; h < 8; ++h) {
+        path.push_back(static_cast<flow::LinkId>(next() % 2000));
+      }
+      net.AddFlow(std::move(path));
+    }
+    suite.Run("maxmin_allocate", 5, 5, [&] {
+      for (int i = 0; i < 5; ++i) {
+        checksum += flow::MaxMinFairAllocate(net).total_gbps;
+      }
+    });
+
+    const itur::SlantPathConfig slant{14.25, 0.7, 0.5};
+    const geo::GeodeticCoord tropics{5.0, 110.0, 0.0};
+    suite.Run("slant_path_attenuation", 5, 10000, [&] {
+      for (int i = 0; i < 10000; ++i) {
+        checksum += itur::SlantPathAttenuationDb(tropics, 35.0, slant, 0.5);
+      }
+    });
+
+    const auto& anchors = data::AnchorCities();
+    ground::RelayGridConfig grid;
+    grid.spacing_deg = 4.0;
+    suite.Run("relay_grid_build_4deg", 5, 2, [&] {
+      for (int i = 0; i < 2; ++i) {
+        checksum += static_cast<double>(ground::BuildRelayGrid(anchors, grid).size());
+      }
+    });
+
+    core::TrafficMatrixOptions traffic;
+    traffic.num_pairs = 500;
+    suite.Run("sample_city_pairs", 5, 50, [&] {
+      for (int i = 0; i < 50; ++i) {
+        checksum += static_cast<double>(core::SampleCityPairs(anchors, traffic).size());
+      }
+    });
+    std::printf("# library kernels checksum: %.3f\n", checksum);
+  }
+
   suite.WriteJson("BENCH_pipeline.json");
-  bench::WriteObsOutputs(config);
-  return 0;
+  return cli::WriteObsOutputs(config, 0);
 }

@@ -1,0 +1,792 @@
+// Extensions beyond the paper's figures and ablations of its modelling
+// choices, as registered studies; see studies.hpp.
+#include "studies.hpp"
+
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <iostream>
+#include <string>
+#include <vector>
+
+#include "core/attenuation_study.hpp"
+#include "core/churn_study.hpp"
+#include "core/coverage_study.hpp"
+#include "core/failure_study.hpp"
+#include "core/gso_network_study.hpp"
+#include "core/handover_study.hpp"
+#include "core/outage_study.hpp"
+#include "core/report.hpp"
+#include "core/routing.hpp"
+#include "core/stats.hpp"
+#include "core/throughput_study.hpp"
+#include "data/cities.hpp"
+#include "data/rng.hpp"
+#include "flow/maxmin.hpp"
+#include "flow/temporal.hpp"
+#include "geo/geodesic.hpp"
+#include "graph/disjoint_paths.hpp"
+#include "itur/slant_path.hpp"
+#include "link/visibility.hpp"
+#include "orbit/walker.hpp"
+
+namespace leosim::cli {
+
+using namespace leosim::core;
+
+namespace {
+
+// Availability over one period for a multi-shell constellation (the
+// coverage study itself is single-shell; this local sweep handles the
+// Gen1 comparison).
+void MultiShellRows(const std::vector<orbit::OrbitalShell>& shells,
+                    double min_elevation_deg, Table* table, const char* label) {
+  orbit::Constellation constellation;
+  double max_altitude = 0.0;
+  for (const orbit::OrbitalShell& s : shells) {
+    constellation.AddShell(s);
+    max_altitude = std::max(max_altitude, s.altitude_km);
+  }
+  const double coverage = geo::CoverageRadiusKm(max_altitude, min_elevation_deg);
+  for (const double lat : {0.0, 30.0, 53.0, 60.0, 70.0, 80.0}) {
+    int available = 0;
+    int samples = 0;
+    double visible_sum = 0.0;
+    for (double t = 0.0; t <= 5700.0; t += 120.0) {
+      const auto sats = constellation.PositionsEcef(t);
+      const link::SatelliteIndex index(sats, coverage + 100.0);
+      const auto visible =
+          index.Visible(geo::GeodeticToEcef({lat, 10.0, 0.0}), min_elevation_deg);
+      visible_sum += static_cast<double>(visible.size());
+      available += visible.empty() ? 0 : 1;
+      ++samples;
+    }
+    table->AddRow({label, FormatDouble(lat, 0),
+                   FormatDouble(visible_sum / samples, 1),
+                   FormatDouble(100.0 * available / samples, 1) + "%"});
+  }
+}
+
+// Builds the transfer workload over one snapshot and returns completion
+// durations (seconds) of completed transfers.
+std::vector<double> RunWorkload(const NetworkModel& model,
+                                const std::vector<CityPair>& pairs,
+                                int* starved_out) {
+  auto snap = model.BuildSnapshot(0.0);
+  flow::TemporalSimulator sim;
+  for (graph::EdgeId e = 0; e < snap.graph.NumEdges(); ++e) {
+    sim.AddLink(snap.graph.Edge(e).capacity);
+  }
+  data::SplitMix64 rng(99);
+  std::vector<flow::TemporalFlow> flows;
+  for (const CityPair& pair : pairs) {
+    const auto paths = graph::KEdgeDisjointShortestPaths(
+        snap.graph, snap.CityNode(pair.a), snap.CityNode(pair.b), 1);
+    if (paths.empty()) {
+      continue;
+    }
+    flow::TemporalFlow f;
+    f.start_time_sec = rng.Uniform(0.0, 30.0);       // staggered arrivals
+    f.volume_gbit = rng.Uniform(40.0, 400.0);        // 5-50 GB transfers
+    f.path.assign(paths[0].edges.begin(), paths[0].edges.end());
+    flows.push_back(std::move(f));
+  }
+  std::vector<int> ids;
+  for (auto& f : flows) {
+    ids.push_back(sim.AddFlow(f));
+  }
+  const flow::TemporalResult result = sim.Run();
+  std::vector<double> durations;
+  for (size_t i = 0; i < flows.size(); ++i) {
+    const flow::FlowOutcome& out = result.outcomes[static_cast<size_t>(ids[i])];
+    if (out.completed) {
+      durations.push_back(out.DurationSec(flows[i]));
+    }
+  }
+  *starved_out = result.starved;
+  return durations;
+}
+
+}  // namespace
+
+// Extension: service coverage/availability by latitude, for the paper's
+// first-phase shells, an elevation-mask sweep (Starlink plans to raise
+// the mask from 25 to 40 degrees over deployment, §7), and the full
+// five-shell Starlink Gen1 system vs the single shell the paper models.
+int RunExtCoverage(const StudyConfig& /*config*/) {
+  std::printf("# Extension: coverage and availability by latitude\n");
+
+  PrintBanner(std::cout, "paper shells: mean visible satellites / availability");
+  Table table({"constellation", "latitude", "mean visible", "availability"});
+  for (const Scenario& scenario : {Scenario::Starlink(), Scenario::Kuiper()}) {
+    CoverageStudyOptions options;
+    for (const CoverageRow& row : RunCoverageStudy(scenario, options)) {
+      table.AddRow({scenario.name, FormatDouble(row.latitude_deg, 0),
+                    FormatDouble(row.mean_visible, 1),
+                    FormatDouble(row.availability * 100.0, 1) + "%"});
+    }
+  }
+  table.Print(std::cout);
+
+  PrintBanner(std::cout, "elevation-mask sweep (Starlink shell 1, lat 45)");
+  Table mask({"min elevation", "coverage radius (km)", "mean visible",
+              "availability"});
+  for (const double e : {25.0, 30.0, 35.0, 40.0}) {
+    Scenario scenario = Scenario::Starlink();
+    scenario.radio.min_elevation_deg = e;
+    CoverageStudyOptions options;
+    options.latitudes_deg = {45.0};
+    const auto rows = RunCoverageStudy(scenario, options);
+    mask.AddRow({FormatDouble(e, 0),
+                 FormatDouble(geo::CoverageRadiusKm(550.0, e), 0),
+                 FormatDouble(rows[0].mean_visible, 1),
+                 FormatDouble(rows[0].availability * 100.0, 1) + "%"});
+  }
+  mask.Print(std::cout);
+  std::printf("raising the mask to 40 deg (planned for full deployment, §7) "
+              "shrinks every cone by ~2.7x in area — another argument for "
+              "density or ISLs.\n");
+
+  PrintBanner(std::cout, "single 53-deg shell vs full 5-shell Starlink Gen1");
+  Table gen1({"configuration", "latitude", "mean visible", "availability"});
+  MultiShellRows({orbit::StarlinkShell1()}, 25.0, &gen1, "shell 1 only");
+  MultiShellRows(orbit::StarlinkGen1AllShells(), 25.0, &gen1, "all 5 shells");
+  gen1.Print(std::cout);
+  std::printf("the paper's single-shell restriction is fair for mid-latitudes "
+              "but misses the polar shells' high-latitude coverage.\n");
+  return 0;
+}
+
+// Extension: resilience to satellite failures. Disables random satellite
+// subsets and compares how BP and hybrid connectivity degrade — ISL path
+// diversity absorbs hardware loss the same way it absorbs weather.
+int RunExtFailures(const StudyConfig& flags) {
+  StudyConfig config = flags;
+  if (config.num_pairs > 200) {
+    config.num_pairs = 200;
+  }
+  PrintConfig(config, "Extension: satellite-failure resilience (Starlink)");
+
+  const std::vector<data::City> cities = MakeCities(config);
+  const std::vector<CityPair> pairs = MakePairs(config, cities);
+  const Scenario scenario = Scenario::Starlink();
+  const NetworkModel bp(scenario,
+                        MakeOptions(config, ConnectivityMode::kBentPipe),
+                        cities);
+  const NetworkModel hybrid(scenario,
+                            MakeOptions(config, ConnectivityMode::kHybrid),
+                            cities);
+
+  FailureStudyOptions options;
+  const auto bp_rows = RunFailureStudy(bp, pairs, options);
+  const auto hy_rows = RunFailureStudy(hybrid, pairs, options);
+
+  PrintBanner(std::cout, "pair reachability and mean RTT vs failed satellites");
+  Table table({"failed sats", "BP reachable", "BP mean RTT (ms)",
+               "hybrid reachable", "hybrid mean RTT (ms)"});
+  for (size_t i = 0; i < bp_rows.size(); ++i) {
+    table.AddRow({FormatDouble(bp_rows[i].failure_fraction * 100.0, 0) + "%",
+                  FormatDouble(bp_rows[i].reachable_fraction * 100.0, 1) + "%",
+                  FormatDouble(bp_rows[i].mean_rtt_ms, 1),
+                  FormatDouble(hy_rows[i].reachable_fraction * 100.0, 1) + "%",
+                  FormatDouble(hy_rows[i].mean_rtt_ms, 1)});
+  }
+  table.Print(std::cout);
+  std::printf("\nboth modes re-route around failures thanks to the dense shell, "
+              "but BP pays more added RTT per failed satellite — ISL path "
+              "diversity absorbs the loss more cheaply.\n");
+  return 0;
+}
+
+// Extension: flow-completion times under BP vs hybrid connectivity.
+// Fig. 4's static max-min allocation says how much capacity exists; this
+// bench uses the temporal floodns semantics (flow/temporal.hpp) to show
+// what that means for actual transfers: a workload of file transfers
+// between city pairs, each completing when its volume drains.
+int RunExtFlowCompletion(const StudyConfig& flags) {
+  StudyConfig config = flags;
+  if (config.num_pairs > 300) {
+    config.num_pairs = 300;
+  }
+  PrintConfig(config, "Extension: flow completion times (Starlink, temporal floodns)");
+
+  const std::vector<data::City> cities = MakeCities(config);
+  const std::vector<CityPair> pairs = MakePairs(config, cities);
+  const Scenario scenario = Scenario::Starlink();
+  const NetworkModel bp(scenario,
+                        MakeOptions(config, ConnectivityMode::kBentPipe),
+                        cities);
+  const NetworkModel hybrid(scenario,
+                            MakeOptions(config, ConnectivityMode::kHybrid),
+                            cities);
+
+  int bp_starved = 0;
+  int hy_starved = 0;
+  const std::vector<double> bp_fct = RunWorkload(bp, pairs, &bp_starved);
+  const std::vector<double> hy_fct = RunWorkload(hybrid, pairs, &hy_starved);
+
+  PrintBanner(std::cout, "transfer completion time (s), 5-50 GB transfers");
+  Table table({"metric", "BP", "hybrid", "BP/hybrid"});
+  const auto row = [&](const char* name, double p) {
+    const double b = Percentile(bp_fct, p);
+    const double h = Percentile(hy_fct, p);
+    table.AddRow({name, FormatDouble(b, 1), FormatDouble(h, 1),
+                  FormatDouble(b / std::max(h, 1e-9), 2)});
+  };
+  row("median", 50.0);
+  row("p90", 90.0);
+  row("p99", 99.0);
+  row("max", 100.0);
+  table.Print(std::cout);
+  std::printf("\ncompleted transfers: BP %zu, hybrid %zu (starved: %d / %d)\n",
+              bp_fct.size(), hy_fct.size(), bp_starved, hy_starved);
+  std::printf("hybrid's extra capacity turns directly into faster transfers, "
+              "hardest at the tail where BP's contended bounces queue up.\n");
+  return 0;
+}
+
+// Extension: uniform vs gravity-model traffic matrices. The paper samples
+// city pairs uniformly; real demand concentrates between large metros.
+// Gravity sampling (endpoints drawn population-proportionally) loads the
+// network unevenly — and BP suffers more from it, because hot metros
+// contend for the same GT-satellite cones while ISLs spread load in space.
+int RunExtGravityMatrix(const StudyConfig& flags) {
+  StudyConfig config = flags;
+  if (config.num_pairs > 400) {
+    config.num_pairs = 400;
+  }
+  PrintConfig(config, "Extension: uniform vs gravity traffic matrix");
+
+  const std::vector<data::City> cities = MakeCities(config);
+  TrafficMatrixOptions matrix;
+  matrix.num_pairs = config.num_pairs;
+  matrix.seed = config.seed;
+  const auto uniform_pairs = SampleCityPairs(cities, matrix);
+  const auto gravity_pairs = SampleCityPairsGravity(cities, matrix);
+
+  const Scenario scenario = Scenario::Starlink();
+  const NetworkModel bp(scenario,
+                        MakeOptions(config, ConnectivityMode::kBentPipe),
+                        cities);
+  const NetworkModel hybrid(scenario,
+                            MakeOptions(config, ConnectivityMode::kHybrid),
+                            cities);
+
+  PrintBanner(std::cout, "aggregate throughput (Gbps), k=1");
+  Table table({"traffic matrix", "BP", "hybrid", "hybrid/BP"});
+  const auto row = [&](const char* name, const std::vector<CityPair>& pairs) {
+    const double bp_gbps = RunThroughputStudy(bp, pairs, 1, 0.0).total_gbps;
+    const double hy_gbps = RunThroughputStudy(hybrid, pairs, 1, 0.0).total_gbps;
+    table.AddRow({name, FormatDouble(bp_gbps, 1), FormatDouble(hy_gbps, 1),
+                  FormatDouble(hy_gbps / std::max(bp_gbps, 1e-9), 2)});
+  };
+  row("uniform (paper)", uniform_pairs);
+  row("gravity (population)", gravity_pairs);
+  table.Print(std::cout);
+  std::printf("\ndemand concentration hits the access links around mega-metros; "
+              "the ISL advantage persists (and typically widens) under the "
+              "realistic matrix.\n");
+  return 0;
+}
+
+// Extension: network-level GSO arc-avoidance impact (paper §7 argues the
+// reduced field of view hits BP much harder than hybrid because
+// cross-hemisphere BP traffic must bounce through equatorial GTs; Fig. 9
+// only shows the geometry — this measures the end-to-end effect).
+int RunExtGsoNetwork(const StudyConfig& flags) {
+  StudyConfig config = flags;
+  if (config.num_pairs > 300) {
+    config.num_pairs = 300;  // 4 model builds with per-link GSO checks
+  }
+  PrintConfig(config, "Extension: GSO exclusion, network level");
+
+  const std::vector<data::City> cities = MakeCities(config);
+  const std::vector<CityPair> all_pairs = MakePairs(config, cities);
+  std::vector<CityPair> pairs = CrossHemispherePairs(cities, all_pairs);
+  if (pairs.size() > 60u) {
+    pairs.resize(60);
+  }
+  std::printf("cross-hemisphere pairs evaluated: %zu\n", pairs.size());
+
+  NetworkOptions base;
+  base.relay_spacing_deg = config.relay_spacing_deg;
+  base.aircraft_scale = config.aircraft_scale;
+  GsoNetworkOptions gso;  // Starlink's 22-deg separation
+  const GsoNetworkResult result =
+      RunGsoNetworkStudy(Scenario::Starlink(), cities, pairs, base, gso);
+
+  PrintBanner(std::cout, "effect of applying the 22-deg GSO exclusion to radio links");
+  Table table({"mode", "reachable (no excl)", "reachable (excl)",
+               "mean RTT no excl (ms)", "mean RTT excl (ms)", "inflation (ms)"});
+  const auto add = [&](const char* name, const GsoModeImpact& impact) {
+    table.AddRow({name, std::to_string(impact.reachable_without_exclusion),
+                  std::to_string(impact.reachable_with_exclusion),
+                  FormatDouble(impact.mean_rtt_without_ms, 1),
+                  FormatDouble(impact.mean_rtt_with_ms, 1),
+                  FormatDouble(impact.MeanRttInflationMs(), 1)});
+  };
+  add("bent-pipe", result.bent_pipe);
+  add("hybrid", result.hybrid);
+  table.Print(std::cout);
+
+  std::printf("\npaper §7: BP cross-hemisphere paths depend on equatorial GTs "
+              "whose sky the exclusion shreds; hybrid paths only lose "
+              "source/destination links near the Equator.\n");
+  return 0;
+}
+
+// Extension: satellite pass / handover dynamics (quantifies paper §2's
+// "each satellite is reachable from a GT for a few minutes" and the churn
+// driving Figs. 2-3).
+int RunExtHandover(const StudyConfig& /*config*/) {
+  std::printf("# Extension: GT-satellite pass durations and handover rates\n");
+
+  HandoverStudyOptions options;
+  options.duration_sec = 7200.0;
+  options.step_sec = 10.0;
+
+  for (const Scenario& scenario : {Scenario::Starlink(), Scenario::Kuiper()}) {
+    PrintBanner(std::cout, scenario.name + ": passes over 2 h, 10 s sampling");
+    Table table({"terminal", "lat", "mean pass (min)", "max pass (min)",
+                 "visible sats (mean)", "handovers/h", "outage"});
+    for (const char* name :
+         {"Singapore", "Delhi", "Paris", "London", "Anchorage"}) {
+      const data::City& city = data::FindCity(name);
+      const HandoverStats stats = RunHandoverStudy(scenario, city.Coord(), options);
+      table.AddRow({name, FormatDouble(city.latitude_deg, 1),
+                    FormatDouble(stats.mean_pass_duration_sec / 60.0, 1),
+                    FormatDouble(stats.max_pass_duration_sec / 60.0, 1),
+                    FormatDouble(stats.mean_visible_sats, 1),
+                    FormatDouble(stats.pass_endings_per_hour, 0),
+                    FormatDouble(stats.outage_fraction * 100.0, 1) + "%"});
+    }
+    table.Print(std::cout);
+  }
+  std::printf("\npaper §2: passes last a few minutes, so every GT re-homes "
+              "constantly — with BP, every re-homing can reshape the end-end "
+              "path (the churn of Fig. 2b).\n");
+  return 0;
+}
+
+// Extension: route-stability (churn) comparison. Fig. 2(b) shows RTT
+// variation; this bench shows the routing churn underneath it: how often
+// the shortest path changes between snapshots, how much of it survives
+// (Jaccard similarity of consecutive node sets), and the RTT jitter.
+int RunExtRouteChurn(const StudyConfig& flags) {
+  StudyConfig config = flags;
+  if (config.num_pairs > 150) {
+    config.num_pairs = 150;
+  }
+  PrintConfig(config, "Extension: route churn, BP vs hybrid (Starlink)");
+
+  const std::vector<data::City> cities = MakeCities(config);
+  const std::vector<CityPair> pairs = MakePairs(config, cities);
+  const SnapshotSchedule schedule = MakeSchedule(config);
+  const Scenario scenario = Scenario::Starlink();
+  const NetworkModel bp(scenario,
+                        MakeOptions(config, ConnectivityMode::kBentPipe),
+                        cities);
+  const NetworkModel hybrid(scenario,
+                            MakeOptions(config, ConnectivityMode::kHybrid),
+                            cities);
+
+  const AggregateChurn bp_churn = RunAggregateChurnStudy(bp, pairs, schedule);
+  const AggregateChurn hy_churn = RunAggregateChurnStudy(hybrid, pairs, schedule);
+
+  PrintBanner(std::cout, "aggregate route churn across pairs");
+  Table table({"mode", "path-change rate", "consecutive-path Jaccard",
+               "RTT jitter (ms/step)", "pairs"});
+  const auto add = [&](const char* name, const AggregateChurn& churn) {
+    table.AddRow({name, FormatDouble(churn.mean_change_rate * 100.0, 1) + "%",
+                  FormatDouble(churn.mean_jaccard, 3),
+                  FormatDouble(churn.mean_rtt_jitter_ms, 2),
+                  std::to_string(churn.pairs_evaluated)});
+  };
+  add("bent-pipe", bp_churn);
+  add("hybrid", hy_churn);
+  table.Print(std::cout);
+
+  PrintBanner(std::cout, "the paper's example pair");
+  const ChurnStats maceio = RunChurnStudy(bp, "Maceio", "Durban", schedule);
+  std::printf("Maceio<->Durban (BP): %d path changes in %d snapshots, "
+              "jitter %.1f ms/step\n",
+              maceio.path_changes, maceio.snapshots, maceio.rtt_jitter_ms);
+  std::printf("\nat 15-minute snapshots almost every step re-routes in both "
+              "modes (satellites move ~4 orbital arcs between samples), but "
+              "BP re-routes through different GROUND infrastructure — hence "
+              "the much larger RTT jitter.\n");
+  return 0;
+}
+
+// Extension: temporal stability of aggregate throughput. Fig. 4 reports a
+// single number per configuration; here we sweep the day's snapshots to
+// show that the hybrid advantage is persistent, not a lucky instant (and
+// that BP throughput fluctuates with aircraft availability).
+int RunExtThroughputStability(const StudyConfig& flags) {
+  StudyConfig config = flags;
+  if (config.num_pairs > 300) {
+    config.num_pairs = 300;
+  }
+  if (config.num_snapshots > 8) {
+    config.num_snapshots = 8;
+  }
+  PrintConfig(config, "Extension: throughput stability over time (Starlink, k=4)");
+
+  const std::vector<data::City> cities = MakeCities(config);
+  const std::vector<CityPair> pairs = MakePairs(config, cities);
+  const Scenario scenario = Scenario::Starlink();
+  const NetworkModel bp(scenario,
+                        MakeOptions(config, ConnectivityMode::kBentPipe),
+                        cities);
+  const NetworkModel hybrid(scenario,
+                            MakeOptions(config, ConnectivityMode::kHybrid),
+                            cities);
+
+  const SnapshotSchedule schedule = MakeSchedule(config);
+
+  PrintBanner(std::cout, "aggregate throughput per snapshot (Gbps)");
+  Table table({"t (min)", "BP", "hybrid", "hybrid/BP"});
+  // One parallel temporal sweep per model; each slot's result is
+  // identical to the per-snapshot RunThroughputStudy it replaces.
+  const std::vector<ThroughputResult> bp_sweep =
+      RunThroughputSweep(bp, pairs, 4, schedule);
+  const std::vector<ThroughputResult> hy_sweep =
+      RunThroughputSweep(hybrid, pairs, 4, schedule);
+  std::vector<double> bp_series;
+  std::vector<double> hy_series;
+  for (int i = 0; i < config.num_snapshots; ++i) {
+    const double t = i * config.step_sec;
+    const double bp_gbps = bp_sweep[static_cast<size_t>(i)].total_gbps;
+    const double hy_gbps = hy_sweep[static_cast<size_t>(i)].total_gbps;
+    bp_series.push_back(bp_gbps);
+    hy_series.push_back(hy_gbps);
+    table.AddRow({FormatDouble(t / 60.0, 0), FormatDouble(bp_gbps, 1),
+                  FormatDouble(hy_gbps, 1),
+                  FormatDouble(hy_gbps / std::max(bp_gbps, 1e-9), 2)});
+  }
+  table.Print(std::cout);
+
+  const auto spread = [](const std::vector<double>& v) {
+    double lo = v[0];
+    double hi = v[0];
+    for (const double x : v) {
+      lo = std::min(lo, x);
+      hi = std::max(hi, x);
+    }
+    return (hi - lo) / std::max(Mean(v), 1e-9) * 100.0;
+  };
+  std::printf("\nrelative spread across snapshots: BP %.1f%%, hybrid %.1f%%\n",
+              spread(bp_series), spread(hy_series));
+  std::printf("the hybrid advantage holds at every snapshot; BP capacity "
+              "tracks the wandering relay/aircraft geometry.\n");
+  return 0;
+}
+
+// Extension: weather-outage resilience — the operational reading of §6.
+// A system engineered with fade margin M dB loses every radio link whose
+// attenuation exceeds M at the target availability. Sweeping M shows how
+// the BP network shatters (every zig-zag bounce is a chance to hit a wet
+// cell) while the hybrid network only needs its two endpoint links up.
+int RunExtWeatherOutage(const StudyConfig& flags) {
+  StudyConfig config = flags;
+  if (config.num_pairs > 250) {
+    config.num_pairs = 250;
+  }
+  PrintConfig(config, "Extension: weather outages vs fade margin (Starlink)");
+
+  const std::vector<data::City> cities = MakeCities(config);
+  const std::vector<CityPair> pairs = MakePairs(config, cities);
+  const Scenario scenario = Scenario::Starlink();
+  const NetworkModel bp(scenario,
+                        MakeOptions(config, ConnectivityMode::kBentPipe),
+                        cities);
+  const NetworkModel hybrid(scenario,
+                            MakeOptions(config, ConnectivityMode::kHybrid),
+                            cities);
+
+  OutageStudyOptions options;  // 0.1% exceedance: heavy-rain conditions
+  const auto bp_rows = RunOutageStudy(bp, pairs, options);
+  const auto hy_rows = RunOutageStudy(hybrid, pairs, options);
+
+  PrintBanner(std::cout,
+              "pair reachability when links above the fade margin drop (0.1% weather)");
+  Table table({"margin (dB)", "links lost", "BP reachable", "BP RTT (ms)",
+               "hybrid reachable", "hybrid RTT (ms)"});
+  for (size_t i = 0; i < bp_rows.size(); ++i) {
+    table.AddRow({FormatDouble(bp_rows[i].margin_db, 0),
+                  FormatDouble(bp_rows[i].links_disabled_fraction * 100.0, 1) + "%",
+                  FormatDouble(bp_rows[i].reachable_fraction * 100.0, 1) + "%",
+                  FormatDouble(bp_rows[i].mean_rtt_ms, 1),
+                  FormatDouble(hy_rows[i].reachable_fraction * 100.0, 1) + "%",
+                  FormatDouble(hy_rows[i].mean_rtt_ms, 1)});
+  }
+  table.Print(std::cout);
+  std::printf("\nthe hybrid network holds its pairs to much slimmer margins — "
+              "the MODCOD headroom §6 says operators must budget shrinks when "
+              "paths stay in space.\n");
+  return 0;
+}
+
+// Extension: population-weighted fairness. The paper splits capacity
+// max-min fair with every city pair equal; real demand is not uniform.
+// This bench re-allocates the same routed sub-flows with weights
+// proportional to sqrt(popA * popB) (a standard gravity-model demand
+// proxy) using the weighted allocator, and contrasts the rate
+// distributions.
+int RunExtWeightedDemand(const StudyConfig& flags) {
+  StudyConfig config = flags;
+  if (config.num_pairs > 400) {
+    config.num_pairs = 400;
+  }
+  PrintConfig(config, "Extension: population-weighted max-min fairness");
+
+  const std::vector<data::City> cities = MakeCities(config);
+  const std::vector<CityPair> pairs = MakePairs(config, cities);
+  const NetworkModel hybrid(Scenario::Starlink(),
+                            MakeOptions(config, ConnectivityMode::kHybrid),
+                            cities);
+  auto snap = hybrid.BuildSnapshot(0.0);
+
+  flow::FlowNetwork net;
+  for (graph::EdgeId e = 0; e < snap.graph.NumEdges(); ++e) {
+    net.AddLink(snap.graph.Edge(e).capacity);
+  }
+  std::vector<double> weights;
+  double weight_sum = 0.0;
+  for (const CityPair& pair : pairs) {
+    const auto paths = graph::KEdgeDisjointShortestPaths(
+        snap.graph, snap.CityNode(pair.a), snap.CityNode(pair.b), 1);
+    if (paths.empty()) {
+      continue;
+    }
+    std::vector<flow::LinkId> links(paths[0].edges.begin(), paths[0].edges.end());
+    net.AddFlow(std::move(links));
+    const double w = std::sqrt(cities[static_cast<size_t>(pair.a)].population_k *
+                               cities[static_cast<size_t>(pair.b)].population_k);
+    weights.push_back(w);
+    weight_sum += w;
+  }
+  // Normalise weights to mean 1 so totals are comparable.
+  for (double& w : weights) {
+    w *= weights.size() / weight_sum;
+  }
+
+  const flow::Allocation uniform = flow::MaxMinFairAllocate(net);
+  const flow::Allocation weighted = flow::MaxMinFairAllocateWeighted(net, weights);
+
+  PrintBanner(std::cout, "rate distribution across flows (Gbps)");
+  Table table({"allocator", "total", "p10", "median", "p90", "max"});
+  const auto add = [&](const char* name, const flow::Allocation& alloc) {
+    std::vector<double> rates = alloc.flow_rate_gbps;
+    table.AddRow({name, FormatDouble(alloc.total_gbps, 1),
+                  FormatDouble(Percentile(rates, 10.0)),
+                  FormatDouble(Percentile(rates, 50.0)),
+                  FormatDouble(Percentile(rates, 90.0)),
+                  FormatDouble(Percentile(rates, 100.0))});
+  };
+  add("uniform", uniform);
+  add("pop-weighted", weighted);
+  table.Print(std::cout);
+
+  // Correlation check: do heavy pairs actually get more under weighting?
+  double heavy_uniform = 0.0;
+  double heavy_weighted = 0.0;
+  int heavy = 0;
+  for (size_t f = 0; f < weights.size(); ++f) {
+    if (weights[f] > 2.0) {
+      heavy_uniform += uniform.flow_rate_gbps[f];
+      heavy_weighted += weighted.flow_rate_gbps[f];
+      ++heavy;
+    }
+  }
+  if (heavy > 0) {
+    std::printf("\nmega-metro flows (weight > 2x mean, n=%d): uniform %.1f Gbps "
+                "-> weighted %.1f Gbps\n",
+                heavy, heavy_uniform, heavy_weighted);
+  }
+  std::printf("weighted fairness shifts capacity toward high-demand metro "
+              "pairs at roughly constant aggregate.\n");
+  return 0;
+}
+
+// Beam-budget ablation: the paper's evaluation lets every satellite serve
+// every visible GT simultaneously ("software-defined frequency management
+// will optimize towards this goal", §2). Real satellites have a finite
+// beam count. This bench sweeps a per-satellite GT-link budget and shows
+// how BP degrades faster than hybrid: BP needs many simultaneous GT links
+// per satellite for its zig-zag transit, while hybrid only touches the
+// ground at the endpoints.
+int RunAblationBeams(const StudyConfig& flags) {
+  StudyConfig config = flags;
+  if (config.num_pairs > 300) {
+    config.num_pairs = 300;
+  }
+  PrintConfig(config, "Ablation: per-satellite beam budget (Starlink, k=1)");
+
+  const std::vector<data::City> cities = MakeCities(config);
+  const std::vector<CityPair> pairs = MakePairs(config, cities);
+  const Scenario scenario = Scenario::Starlink();
+
+  PrintBanner(std::cout, "aggregate throughput vs beams per satellite (Gbps)");
+  Table table({"beams/sat", "BP (Gbps)", "BP routed", "hybrid (Gbps)",
+               "hybrid routed", "hybrid/BP"});
+  for (const int beams : {0, 32, 16, 8, 4}) {
+    NetworkOptions bp_options = MakeOptions(config, ConnectivityMode::kBentPipe);
+    bp_options.max_gt_links_per_satellite = beams;
+    NetworkOptions hy_options = MakeOptions(config, ConnectivityMode::kHybrid);
+    hy_options.max_gt_links_per_satellite = beams;
+    const NetworkModel bp(scenario, bp_options, cities);
+    const NetworkModel hybrid(scenario, hy_options, cities);
+    const auto bp_result = RunThroughputStudy(bp, pairs, 1, 0.0);
+    const auto hy_result = RunThroughputStudy(hybrid, pairs, 1, 0.0);
+    table.AddRow({beams == 0 ? "unlimited" : std::to_string(beams),
+                  FormatDouble(bp_result.total_gbps, 1),
+                  std::to_string(bp_result.pairs_routed),
+                  FormatDouble(hy_result.total_gbps, 1),
+                  std::to_string(hy_result.pairs_routed),
+                  FormatDouble(hy_result.total_gbps /
+                                   std::max(bp_result.total_gbps, 1e-9),
+                               2)});
+  }
+  table.Print(std::cout);
+  std::printf("\ntighter beam budgets prune the relay grid's connectivity "
+              "first — BP's transit hops die before hybrid's endpoint "
+              "links do.\n");
+  return 0;
+}
+
+// Ka-band sensitivity (paper §6: the BP-vs-ISL attenuation gap "would be
+// even higher for Ka-band communication, which is affected more by
+// weather"). Re-runs the Fig. 6 experiment with Ka-band gateway
+// frequencies (28.5 GHz up / 18.7 GHz down) next to the Ku baseline.
+int RunAblationKaband(const StudyConfig& flags) {
+  StudyConfig config = flags;
+  if (config.num_pairs > 250) {
+    config.num_pairs = 250;
+  }
+  PrintConfig(config, "Ablation: Ku vs Ka band attenuation gap");
+
+  const std::vector<data::City> cities = MakeCities(config);
+  const std::vector<CityPair> pairs = MakePairs(config, cities);
+
+  PrintBanner(std::cout, "median worst-link attenuation at 0.5% exceedance (dB)");
+  Table table({"band", "up/down (GHz)", "BP median", "ISL median", "gap (dB)",
+               "gap (rx power)"});
+
+  struct Band {
+    const char* name;
+    double up, down;
+  };
+  for (const Band band : {Band{"Ku", 14.25, 11.7}, Band{"Ka", 28.5, 18.7}}) {
+    Scenario scenario = Scenario::Starlink();
+    scenario.radio.uplink_freq_ghz = band.up;
+    scenario.radio.downlink_freq_ghz = band.down;
+    const NetworkModel bp(scenario,
+                          MakeOptions(config, ConnectivityMode::kBentPipe),
+                          cities);
+    const NetworkModel isl(scenario,
+                           MakeOptions(config, ConnectivityMode::kIslOnly),
+                           cities);
+    AttenuationOptions options;
+    const AttenuationDistributions result =
+        RunAttenuationStudy(bp, isl, pairs, 0.0, options);
+    const double bp_median = Median(result.bp_db);
+    const double isl_median = Median(result.isl_db);
+    const double gap = bp_median - isl_median;
+    const double power_ratio = itur::ReceivedPowerFraction(isl_median) /
+                               std::max(itur::ReceivedPowerFraction(bp_median), 1e-9);
+    table.AddRow({band.name,
+                  FormatDouble(band.up, 2) + "/" + FormatDouble(band.down, 1),
+                  FormatDouble(bp_median), FormatDouble(isl_median),
+                  FormatDouble(gap), FormatDouble((power_ratio - 1.0) * 100.0, 0) + "%"});
+  }
+  table.Print(std::cout);
+  std::printf("\npaper §6: the Ku-band median gap is >1 dB; Ka-band widens it "
+              "because rain attenuation grows super-linearly with frequency.\n");
+  return 0;
+}
+
+// Routing-policy ablation (paper §5's future-work direction): the paper
+// routes over greedy edge-disjoint shortest paths and notes that a scheme
+// minimising the maximum utilisation "can offer higher throughput, albeit
+// at the cost of increased latency". This bench quantifies that trade-off
+// on the hybrid Starlink network, and also compares the greedy disjoint
+// pair against the Suurballe/Bhandari optimal pair (DESIGN.md §5).
+int RunAblationRouting(const StudyConfig& flags) {
+  StudyConfig config = flags;
+  // Yen-based policies are costlier per pair; trim the default matrix.
+  if (config.num_pairs > 200) {
+    config.num_pairs = 200;
+  }
+  PrintConfig(config, "Ablation: routing policies (Starlink hybrid, k=2)");
+
+  const std::vector<data::City> cities = MakeCities(config);
+  const std::vector<CityPair> pairs = MakePairs(config, cities);
+  const NetworkModel hybrid(Scenario::Starlink(),
+                            MakeOptions(config, ConnectivityMode::kHybrid),
+                            cities);
+
+  PrintBanner(std::cout, "throughput / latency / utilisation by routing policy");
+  Table table({"policy", "total (Gbps)", "mean path latency (ms)",
+               "max link util", "subflows"});
+  for (const RoutingPolicy policy :
+       {RoutingPolicy::kDisjointGreedy, RoutingPolicy::kDisjointOptimalPair,
+        RoutingPolicy::kMinMaxUtilisation, RoutingPolicy::kCongestionAware}) {
+    const PolicyThroughputResult r =
+        RunThroughputWithPolicy(hybrid, pairs, 2, 0.0, policy);
+    table.AddRow({std::string(ToString(policy)),
+                  FormatDouble(r.throughput.total_gbps, 1),
+                  FormatDouble(r.mean_path_latency_ms, 2),
+                  FormatDouble(r.max_link_utilisation, 2),
+                  std::to_string(r.throughput.subflows)});
+  }
+  table.Print(std::cout);
+  std::printf("\nexpected shape: load-aware policies raise throughput under "
+              "contention and pay for it with longer paths; the greedy\n"
+              "disjoint scheme the paper uses stays near the optimal pair on "
+              "LEO snapshot graphs, justifying its simplicity.\n");
+  return 0;
+}
+
+// Capacity-model ablation: the paper says GT-satellite links carry
+// "up- and down-link capacities of 20 Gbps" — i.e. the two directions are
+// independent resources. The default harness (like most graph-level
+// studies) pools each link into one shared resource, which is pessimistic
+// whenever opposite-direction flows share a link. This bench quantifies
+// the difference and shows it does not change who wins.
+int RunAblationUpdown(const StudyConfig& flags) {
+  StudyConfig config = flags;
+  if (config.num_pairs > 400) {
+    config.num_pairs = 400;
+  }
+  PrintConfig(config, "Ablation: shared vs per-direction link capacities");
+
+  const std::vector<data::City> cities = MakeCities(config);
+  const std::vector<CityPair> pairs = MakePairs(config, cities);
+  const Scenario scenario = Scenario::Starlink();
+  const NetworkModel bp(scenario,
+                        MakeOptions(config, ConnectivityMode::kBentPipe),
+                        cities);
+  const NetworkModel hybrid(scenario,
+                            MakeOptions(config, ConnectivityMode::kHybrid),
+                            cities);
+
+  PrintBanner(std::cout, "aggregate throughput (Gbps), k=4");
+  Table table({"capacity model", "BP", "hybrid", "hybrid/BP"});
+  for (const CapacityModel model :
+       {CapacityModel::kSharedPerLink, CapacityModel::kSeparateUpDown}) {
+    const double bp_gbps = RunThroughputStudy(bp, pairs, 4, 0.0, model).total_gbps;
+    const double hy_gbps =
+        RunThroughputStudy(hybrid, pairs, 4, 0.0, model).total_gbps;
+    table.AddRow({model == CapacityModel::kSharedPerLink ? "shared per link"
+                                                         : "separate up/down",
+                  FormatDouble(bp_gbps, 1), FormatDouble(hy_gbps, 1),
+                  FormatDouble(hy_gbps / std::max(bp_gbps, 1e-9), 2)});
+  }
+  table.Print(std::cout);
+  std::printf("\nper-direction capacities lift both modes (opposing flows stop "
+              "contending) without changing the hybrid advantage.\n");
+  return 0;
+}
+
+}  // namespace leosim::cli

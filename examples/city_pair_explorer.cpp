@@ -5,10 +5,12 @@
 //   ./city_pair_explorer [cityA] [cityB] [hours]   (default: Maceio Durban 2)
 #include <cstdio>
 #include <iostream>
+#include <optional>
 
 #include "core/latency_study.hpp"
 #include "core/report.hpp"
 #include "data/cities.hpp"
+#include "flags.hpp"
 
 using namespace leosim;
 using namespace leosim::core;
@@ -16,7 +18,12 @@ using namespace leosim::core;
 int main(int argc, char** argv) {
   const std::string city_a = argc > 1 ? argv[1] : "Maceio";
   const std::string city_b = argc > 2 ? argv[2] : "Durban";
-  const double hours = argc > 3 ? std::atof(argv[3]) : 2.0;
+  const std::optional<double> hours =
+      argc > 3 ? cli::ParseDouble(argv[3]) : 2.0;
+  if (!hours || *hours <= 0.0) {
+    std::fprintf(stderr, "invalid hours '%s' (expected a number > 0)\n", argv[3]);
+    return 2;
+  }
 
   if (!data::HasCity(city_a) || !data::HasCity(city_b)) {
     std::printf("unknown city; names match data::AnchorCities() entries\n");
@@ -34,14 +41,14 @@ int main(int argc, char** argv) {
   const NetworkModel hybrid(scenario, hybrid_options, data::AnchorCities());
 
   SnapshotSchedule schedule;
-  schedule.duration_sec = hours * 3600.0;
+  schedule.duration_sec = *hours * 3600.0;
   schedule.step_sec = 900.0;
 
   const auto bp_trace = TracePairPath(bp, city_a, city_b, schedule);
   const auto hy_trace = TracePairPath(hybrid, city_a, city_b, schedule);
 
   std::printf("%s <-> %s under Starlink, %.1f h at 15-min snapshots\n",
-              city_a.c_str(), city_b.c_str(), hours);
+              city_a.c_str(), city_b.c_str(), *hours);
   Table table({"t (min)", "BP RTT (ms)", "hybrid RTT (ms)", "BP sat hops",
                "BP aircraft", "BP relays", "BP max lat"});
   for (size_t i = 0; i < bp_trace.size(); ++i) {

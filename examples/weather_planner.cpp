@@ -5,9 +5,11 @@
 //   ./weather_planner [city] [freq_ghz]    (default: Singapore 14.25)
 #include <cstdio>
 #include <iostream>
+#include <optional>
 
 #include "core/report.hpp"
 #include "data/cities.hpp"
+#include "flags.hpp"
 #include "itur/slant_path.hpp"
 
 using namespace leosim;
@@ -15,17 +17,22 @@ using namespace leosim::core;
 
 int main(int argc, char** argv) {
   const std::string city = argc > 1 ? argv[1] : "Singapore";
-  const double freq = argc > 2 ? std::atof(argv[2]) : 14.25;
+  const std::optional<double> freq =
+      argc > 2 ? cli::ParseDouble(argv[2]) : 14.25;
+  if (!freq || *freq <= 0.0) {
+    std::fprintf(stderr, "invalid freq_ghz '%s' (expected a number > 0)\n", argv[2]);
+    return 2;
+  }
   if (!data::HasCity(city)) {
     std::printf("unknown city\n");
     return 1;
   }
   const data::City& site = data::FindCity(city);
   itur::SlantPathConfig config;
-  config.frequency_ghz = freq;
+  config.frequency_ghz = *freq;
 
   std::printf("atmospheric attenuation at %s (%.2f, %.2f), %.2f GHz\n",
-              city.c_str(), site.latitude_deg, site.longitude_deg, freq);
+              city.c_str(), site.latitude_deg, site.longitude_deg, *freq);
 
   PrintBanner(std::cout, "breakdown at 0.5% exceedance (99.5% availability)");
   Table table({"elevation (deg)", "gas (dB)", "cloud (dB)", "rain (dB)",

@@ -37,7 +37,7 @@ std::string_view ToString(ConnectivityMode mode);
 struct NetworkOptions {
   ConnectivityMode mode{ConnectivityMode::kHybrid};
   // Relay grid (ignored in kIslOnly mode). Paper defaults: 0.5 deg within
-  // 2,000 km; bench binaries scale spacing up for speed.
+  // 2,000 km; the studies' defaults scale spacing up for speed.
   bool use_relays{true};
   double relay_spacing_deg{0.5};
   double relay_radius_km{2000.0};

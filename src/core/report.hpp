@@ -1,5 +1,5 @@
-// Fixed-width table printing for the benchmark harnesses, so every bench
-// binary emits the paper's rows/series in a uniform format — plus the
+// Fixed-width table printing for the registered studies, so every
+// figure emits the paper's rows/series in a uniform format — plus the
 // study-summary and run-manifest hooks of the observability layer.
 #pragma once
 

@@ -23,11 +23,11 @@ void TemporalSweep::Run(
   if (items <= 0) {
     return;
   }
-  // Workspaces are indexed by dense worker id; the worker count never
-  // exceeds the item count, so sizing by items is always sufficient
-  // (and cheap: a default-constructed workspace is a handful of empty
-  // vectors until its first build).
-  std::vector<SweepWorkspace> workspaces(static_cast<size_t>(items));
+  // Workspaces are indexed by dense worker id, and ParallelForWorkers
+  // resolves the same worker count (capped at the item count).
+  const int workers =
+      std::min(items, num_threads > 0 ? num_threads : DefaultWorkerCount());
+  std::vector<SweepWorkspace> workspaces(static_cast<size_t>(workers));
   obs::ProgressReporter progress(progress_label,
                                  static_cast<uint64_t>(items));
   ParallelForWorkers(

@@ -57,7 +57,7 @@ struct SweepWorkspace {
   graph::TreeReuseCache tree_cache;
   // ALT landmarks for the throughput study's edge-disjoint follow-up
   // searches, created by the study on first use. Held by pointer so
-  // the workspaces Run constructs (one per item) keep their size: an
+  // the workspaces Run constructs (one per worker) keep their size: an
   // inline table added 160 bytes to each and raised the one-thread
   // churn sweep's peak RSS by about 0.5 MB through heap layout alone.
   std::unique_ptr<graph::LandmarkTable> landmarks;

@@ -29,7 +29,7 @@ struct ThroughputResult {
 //   kSeparateUpDown     — each link carries its capacity independently in
 //                         each direction (paper §5: "up- and down-link
 //                         capacities of 20 Gbps"), so opposing flows do
-//                         not contend. Ablated in bench/ablation_updown.
+//                         not contend. Ablated in study ablation_updown.
 enum class CapacityModel { kSharedPerLink, kSeparateUpDown };
 
 // Aggregate max-min-fair throughput at one snapshot.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 #include <stdexcept>
+#include <string>
 
 #include "data/rng.hpp"
 #include "geo/geodesic.hpp"
@@ -19,6 +20,10 @@ std::vector<CityPair> SamplePairs(const std::vector<data::City>& cities,
   const int n = static_cast<int>(cities.size());
   if (n < 2) {
     throw std::invalid_argument("need at least two cities");
+  }
+  if (options.num_pairs < 0) {
+    throw std::invalid_argument("num_pairs must be >= 0, got " +
+                                std::to_string(options.num_pairs));
   }
   std::set<std::pair<int, int>> seen;
   std::vector<CityPair> pairs;

@@ -23,8 +23,8 @@ struct TrafficMatrixOptions {
 };
 
 // Samples distinct pairs (a < b, no duplicates). Throws
-// std::invalid_argument if the city list cannot supply the requested
-// number of qualifying pairs.
+// std::invalid_argument if num_pairs is negative or the city list cannot
+// supply the requested number of qualifying pairs.
 std::vector<CityPair> SampleCityPairs(const std::vector<data::City>& cities,
                                       const TrafficMatrixOptions& options);
 

@@ -1,6 +1,7 @@
 #include "data/city_catalog.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 
 #include "data/landmask.hpp"
@@ -23,6 +24,10 @@ bool TooCloseToExisting(const std::vector<City>& cities, const geo::GeodeticCoor
 }  // namespace
 
 std::vector<City> GenerateWorldCities(int count, uint64_t seed) {
+  if (count < 0) {
+    throw std::invalid_argument("city count must be >= 0, got " +
+                                std::to_string(count));
+  }
   const std::vector<City>& anchors = AnchorCities();
   std::vector<City> cities = anchors;
   std::sort(cities.begin(), cities.end(),

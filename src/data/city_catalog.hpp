@@ -19,6 +19,7 @@ namespace leosim::data {
 // Returns `count` cities: all anchors (if count >= anchors) followed by
 // synthesized secondary cities. If count is smaller than the anchor list,
 // the most populous `count` anchors are returned. Deterministic in `seed`.
+// Throws std::invalid_argument if count is negative.
 std::vector<City> GenerateWorldCities(int count, uint64_t seed = 42);
 
 }  // namespace leosim::data

@@ -5,7 +5,7 @@
 // (disjoint_paths.hpp) — find the shortest, remove it, repeat. That greedy
 // scheme can pick a first path that blocks all others, or a pair whose
 // total cost is far from optimal. This module provides the optimal pair
-// for the routing ablation (bench/ablation_routing): on LEO snapshot
+// for the routing ablation (study ablation_routing): on LEO snapshot
 // graphs the greedy scheme is usually near-optimal, which justifies the
 // paper's simpler choice.
 #pragma once

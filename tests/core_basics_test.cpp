@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 
 #include "core/report.hpp"
 #include "core/scenario.hpp"
@@ -182,6 +183,19 @@ TEST(TrafficMatrixTest, ImpossibleRequestThrows) {
   EXPECT_THROW(SampleCityPairs(two, options), std::invalid_argument);
   EXPECT_THROW(SampleCityPairs({data::FindCity("Paris")}, options),
                std::invalid_argument);
+}
+
+TEST(TrafficMatrixTest, NegativeCountThrows) {
+  // A negative count used to reach vector::reserve as a huge size and
+  // terminate the process with std::length_error.
+  TrafficMatrixOptions options;
+  options.num_pairs = -5;
+  EXPECT_THROW(SampleCityPairs(data::AnchorCities(), options),
+               std::invalid_argument);
+  EXPECT_THROW(SampleCityPairsGravity(data::AnchorCities(), options),
+               std::invalid_argument);
+  options.num_pairs = 0;
+  EXPECT_TRUE(SampleCityPairs(data::AnchorCities(), options).empty());
 }
 
 }  // namespace

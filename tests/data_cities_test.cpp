@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <set>
+#include <stdexcept>
 
 #include "data/city_catalog.hpp"
 #include "data/landmask.hpp"
@@ -86,6 +87,12 @@ TEST(CityCatalogTest, TruncatesToMostPopulous) {
 TEST(CityCatalogTest, GeneratesRequestedCount) {
   const std::vector<City> cities = GenerateWorldCities(400);
   EXPECT_EQ(cities.size(), 400u);
+}
+
+TEST(CityCatalogTest, NegativeCountThrows) {
+  // A negative count used to reach vector::resize as a huge size.
+  EXPECT_THROW(GenerateWorldCities(-1), std::invalid_argument);
+  EXPECT_TRUE(GenerateWorldCities(0).empty());
 }
 
 TEST(CityCatalogTest, Deterministic) {

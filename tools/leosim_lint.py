@@ -16,7 +16,7 @@ a `Finding` with a stable fingerprint. That structure buys three things:
 
 Rules (each maps to a repo invariant documented in DESIGN.md):
 
-  nondeterminism   No rand()/srand()/time(nullptr) in src/ or bench/.
+  nondeterminism   No rand()/srand()/time(nullptr) in src/, cli/ or bench/.
                    Studies must be reproducible run-to-run; use a
                    seeded std::mt19937[_64] and pass epochs explicitly.
   geo-float       No `float` in src/geo. Geodesy is double-only; a
@@ -30,8 +30,15 @@ Rules (each maps to a repo invariant documented in DESIGN.md):
                    No <iostream>/std::cout/std::cerr in src/. Library
                    diagnostics go through obs::Log (gated, structured,
                    redirectable); the one allowed writer is the default
-                   sink in src/obs/log.cpp. bench/ and examples/ print
-                   tables by design and are exempt.
+                   sink in src/obs/log.cpp. cli/, bench/ and examples/
+                   print tables by design and are exempt.
+  unchecked-number-parse
+                   No atoi/atof/atol/strtol/strtod/stoi/stod (or their
+                   relatives) in cli/, bench/ or examples/. Command-line
+                   numbers go through cli::ParseInt/ParseDouble
+                   (cli/flags.hpp): std::from_chars over the whole
+                   string, so "10x", "abc", overflow, nan and inf are
+                   errors instead of silently becoming 10, 0 or UB.
   study-summary   Every src/core/*_study.cpp calls EmitStudySummary:
                    manifests, tests, and obs_report run comparisons all
                    key on the shared summary line.
@@ -287,7 +294,7 @@ IOSTREAM_ALLOWLIST = {"src/obs/log.cpp"}
 
 def check_nondeterminism(ctx: LintContext) -> list[Finding]:
     findings = []
-    for rel in ctx.files("src/") + ctx.files("bench/"):
+    for rel in ctx.files("src/") + ctx.files("cli/") + ctx.files("bench/"):
         for lineno, line in enumerate(ctx.stripped(rel).splitlines(), start=1):
             if NONDETERMINISM_RE.search(line):
                 findings.append(Finding(
@@ -322,9 +329,29 @@ def check_iostream(ctx: LintContext) -> list[Finding]:
     return findings
 
 
+NUMBER_PARSE_RE = re.compile(
+    r"\b(?:std::)?(?:atoi|atof|atol|atoll|strtol|strtoll|strtoul|strtoull|"
+    r"strtod|strtof|stoi|stol|stoll|stoul|stoull|stod|stof)\s*\("
+)
+
+
+def check_unchecked_number_parse(ctx: LintContext) -> list[Finding]:
+    findings = []
+    for prefix in ("cli/", "bench/", "examples/"):
+        for rel in ctx.files(prefix):
+            for lineno, line in enumerate(ctx.stripped(rel).splitlines(), start=1):
+                if NUMBER_PARSE_RE.search(line):
+                    findings.append(Finding(
+                        rel, lineno, "unchecked-number-parse",
+                        "unchecked number parse; use cli::ParseInt/ParseDouble "
+                        "(cli/flags.hpp), which reject partial, out-of-range "
+                        "and non-finite input"))
+    return findings
+
+
 def _header_files(ctx: LintContext) -> list[str]:
     headers = []
-    for prefix in ("src/", "bench/", "tests/", "examples/"):
+    for prefix in ("src/", "cli/", "bench/", "tests/", "examples/"):
         headers.extend(ctx.files(prefix, suffixes=(".hpp",)))
     return headers
 
@@ -851,7 +878,7 @@ def _check_self_contained_one(ctx: LintContext, rel: str,
         include_name = Path(rel).name
     proc = subprocess.run(
         [compiler, "-std=c++20", "-fsyntax-only",
-         "-I", str(ctx.root / "src"), "-I", str(ctx.root / "bench"),
+         "-I", str(ctx.root / "src"), "-I", str(ctx.root / "cli"),
          "-x", "c++", "-"],
         input=f'#include "{include_name}"\n',
         capture_output=True, text=True, cwd=ctx.root,
@@ -888,7 +915,7 @@ def check_self_contained(ctx: LintContext) -> list[Finding]:
 
 RULES: list[Rule] = [
     Rule("nondeterminism",
-         "rand()/srand()/time(nullptr) forbidden in src/ and bench/",
+         "rand()/srand()/time(nullptr) forbidden in src/, cli/ and bench/",
          check_nondeterminism),
     Rule("geo-float", "`float` forbidden in src/geo (double-only geodesy)",
          check_geo_float),
@@ -900,6 +927,9 @@ RULES: list[Rule] = [
     Rule("iostream-in-library",
          "library diagnostics go through obs::Log, not iostream",
          check_iostream),
+    Rule("unchecked-number-parse",
+         "command-line numbers go through cli::ParseInt/ParseDouble",
+         check_unchecked_number_parse),
     Rule("study-summary",
          "every study driver calls EmitStudySummary", check_study_summary),
     Rule("snapshot-workspace",

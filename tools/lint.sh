@@ -57,7 +57,7 @@ done
 # self-test; they are not in compile_commands.json and must never reach
 # clang-tidy. tools/ currently ships no C++ but is globbed so a future
 # helper binary is covered the day it appears.
-tidy_pathspecs=('src/*.cpp' 'tests/*.cpp' 'bench/*.cpp' 'examples/*.cpp'
+tidy_pathspecs=('src/*.cpp' 'cli/*.cpp' 'tests/*.cpp' 'bench/*.cpp' 'examples/*.cpp'
                 'tools/*.cpp' ':!tests/lint_fixtures')
 
 if [[ -z "${clang_tidy_bin}" ]]; then

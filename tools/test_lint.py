@@ -118,6 +118,21 @@ def test_json_number_scope() -> None:
     print("ok: json-number scope (comments, formatter header, bench/ exempt)")
 
 
+def test_unchecked_number_parse_scope() -> None:
+    # Both front-end directories trigger, each on its parse line; the
+    # library (src/) and comments or strings naming the calls do not.
+    hits = run_rule("unchecked-number-parse",
+                    FIXTURES / "unchecked-number-parse" / "trigger")
+    check(sorted((f.path, f.line) for f in hits)
+          == [("bench/run.cpp", 5), ("examples/tool.cpp", 6)],
+          f"unchecked-number-parse: expected bench/run.cpp:5 and "
+          f"examples/tool.cpp:6, got {[(f.path, f.line) for f in hits]}")
+    ok = FIXTURES / "unchecked-number-parse" / "ok"
+    check((ok / "src" / "core" / "env.cpp").is_file(),
+          "unchecked-number-parse: ok fixture lost its out-of-scope src/ file")
+    print("ok: unchecked-number-parse scope (cli/bench/examples only)")
+
+
 def test_fingerprint_line_independence() -> None:
     a = leosim_lint.Finding("src/x.cpp", 10, "raw-mutex", "same message")
     b = leosim_lint.Finding("src/x.cpp", 99, "raw-mutex", "same message")
@@ -216,6 +231,7 @@ def main() -> int:
     test_fixture_pairs()
     test_layering_acceptance_fixture()
     test_json_number_scope()
+    test_unchecked_number_parse_scope()
     test_fingerprint_line_independence()
     test_baseline_roundtrip()
     test_lint_sarif_valid()
