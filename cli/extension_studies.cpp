@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/attenuation_study.hpp"
@@ -18,6 +19,7 @@
 #include "core/outage_study.hpp"
 #include "core/report.hpp"
 #include "core/routing.hpp"
+#include "core/routing_tiers.hpp"
 #include "core/stats.hpp"
 #include "core/throughput_study.hpp"
 #include "data/cities.hpp"
@@ -25,9 +27,7 @@
 #include "flow/maxmin.hpp"
 #include "flow/temporal.hpp"
 #include "geo/geodesic.hpp"
-#include "graph/disjoint_paths.hpp"
 #include "itur/slant_path.hpp"
-#include "link/visibility.hpp"
 #include "orbit/walker.hpp"
 
 namespace leosim::cli {
@@ -36,59 +36,28 @@ using namespace leosim::core;
 
 namespace {
 
-// Availability over one period for a multi-shell constellation (the
-// coverage study itself is single-shell; this local sweep handles the
-// Gen1 comparison).
-void MultiShellRows(const std::vector<orbit::OrbitalShell>& shells,
-                    double min_elevation_deg, Table* table, const char* label) {
-  orbit::Constellation constellation;
-  double max_altitude = 0.0;
-  for (const orbit::OrbitalShell& s : shells) {
-    constellation.AddShell(s);
-    max_altitude = std::max(max_altitude, s.altitude_km);
-  }
-  const double coverage = geo::CoverageRadiusKm(max_altitude, min_elevation_deg);
-  for (const double lat : {0.0, 30.0, 53.0, 60.0, 70.0, 80.0}) {
-    int available = 0;
-    int samples = 0;
-    double visible_sum = 0.0;
-    for (double t = 0.0; t <= 5700.0; t += 120.0) {
-      const auto sats = constellation.PositionsEcef(t);
-      const link::SatelliteIndex index(sats, coverage + 100.0);
-      const auto visible =
-          index.Visible(geo::GeodeticToEcef({lat, 10.0, 0.0}), min_elevation_deg);
-      visible_sum += static_cast<double>(visible.size());
-      available += visible.empty() ? 0 : 1;
-      ++samples;
-    }
-    table->AddRow({label, FormatDouble(lat, 0),
-                   FormatDouble(visible_sum / samples, 1),
-                   FormatDouble(100.0 * available / samples, 1) + "%"});
-  }
-}
-
 // Builds the transfer workload over one snapshot and returns completion
 // durations (seconds) of completed transfers.
 std::vector<double> RunWorkload(const NetworkModel& model,
                                 const std::vector<CityPair>& pairs,
                                 int* starved_out) {
-  auto snap = model.BuildSnapshot(0.0);
+  SweepWorkspace ws;
+  const NetworkModel::Snapshot& snap = model.BuildSnapshot(0.0, &ws.snapshot);
   flow::TemporalSimulator sim;
   for (graph::EdgeId e = 0; e < snap.graph.NumEdges(); ++e) {
     sim.AddLink(snap.graph.Edge(e).capacity);
   }
   data::SplitMix64 rng(99);
   std::vector<flow::TemporalFlow> flows;
-  for (const CityPair& pair : pairs) {
-    const auto paths = graph::KEdgeDisjointShortestPaths(
-        snap.graph, snap.CityNode(pair.a), snap.CityNode(pair.b), 1);
-    if (paths.empty()) {
+  for (const graph::Path& path :
+       RoutePairPaths(snap, pairs, GroupPairsBySource(pairs), ws)) {
+    if (path.nodes.empty()) {
       continue;
     }
     flow::TemporalFlow f;
     f.start_time_sec = rng.Uniform(0.0, 30.0);       // staggered arrivals
     f.volume_gbit = rng.Uniform(40.0, 400.0);        // 5-50 GB transfers
-    f.path.assign(paths[0].edges.begin(), paths[0].edges.end());
+    f.path.assign(path.edges.begin(), path.edges.end());
     flows.push_back(std::move(f));
   }
   std::vector<int> ids;
@@ -119,8 +88,8 @@ int RunExtCoverage(const StudyConfig& /*config*/) {
   PrintBanner(std::cout, "paper shells: mean visible satellites / availability");
   Table table({"constellation", "latitude", "mean visible", "availability"});
   for (const Scenario& scenario : {Scenario::Starlink(), Scenario::Kuiper()}) {
-    CoverageStudyOptions options;
-    for (const CoverageRow& row : RunCoverageStudy(scenario, options)) {
+    for (const CoverageRow& row :
+         RunCoverageStudy({scenario.shell}, scenario.radio.min_elevation_deg, {})) {
       table.AddRow({scenario.name, FormatDouble(row.latitude_deg, 0),
                     FormatDouble(row.mean_visible, 1),
                     FormatDouble(row.availability * 100.0, 1) + "%"});
@@ -132,11 +101,9 @@ int RunExtCoverage(const StudyConfig& /*config*/) {
   Table mask({"min elevation", "coverage radius (km)", "mean visible",
               "availability"});
   for (const double e : {25.0, 30.0, 35.0, 40.0}) {
-    Scenario scenario = Scenario::Starlink();
-    scenario.radio.min_elevation_deg = e;
     CoverageStudyOptions options;
     options.latitudes_deg = {45.0};
-    const auto rows = RunCoverageStudy(scenario, options);
+    const auto rows = RunCoverageStudy({orbit::StarlinkShell1()}, e, options);
     mask.AddRow({FormatDouble(e, 0),
                  FormatDouble(geo::CoverageRadiusKm(550.0, e), 0),
                  FormatDouble(rows[0].mean_visible, 1),
@@ -149,8 +116,18 @@ int RunExtCoverage(const StudyConfig& /*config*/) {
 
   PrintBanner(std::cout, "single 53-deg shell vs full 5-shell Starlink Gen1");
   Table gen1({"configuration", "latitude", "mean visible", "availability"});
-  MultiShellRows({orbit::StarlinkShell1()}, 25.0, &gen1, "shell 1 only");
-  MultiShellRows(orbit::StarlinkGen1AllShells(), 25.0, &gen1, "all 5 shells");
+  CoverageStudyOptions gen1_options;
+  gen1_options.latitudes_deg = {0.0, 30.0, 53.0, 60.0, 70.0, 80.0};
+  gen1_options.step_sec = 120.0;
+  for (const auto& [label, shells] :
+       {std::pair{"shell 1 only", std::vector{orbit::StarlinkShell1()}},
+        std::pair{"all 5 shells", orbit::StarlinkGen1AllShells()}}) {
+    for (const CoverageRow& row : RunCoverageStudy(shells, 25.0, gen1_options)) {
+      gen1.AddRow({label, FormatDouble(row.latitude_deg, 0),
+                   FormatDouble(row.mean_visible, 1),
+                   FormatDouble(row.availability * 100.0, 1) + "%"});
+    }
+  }
   gen1.Print(std::cout);
   std::printf("the paper's single-shell restriction is fair for mid-latitudes "
               "but misses the polar shells' high-latitude coverage.\n");
@@ -228,6 +205,9 @@ int RunExtFlowCompletion(const StudyConfig& flags) {
   PrintBanner(std::cout, "transfer completion time (s), 5-50 GB transfers");
   Table table({"metric", "BP", "hybrid", "BP/hybrid"});
   const auto row = [&](const char* name, double p) {
+    if (bp_fct.empty() || hy_fct.empty()) {
+      return;  // no completed transfer to rank (e.g. --pairs=0)
+    }
     const double b = Percentile(bp_fct, p);
     const double h = Percentile(hy_fct, p);
     table.AddRow({name, FormatDouble(b, 1), FormatDouble(h, 1),
@@ -545,24 +525,22 @@ int RunExtWeightedDemand(const StudyConfig& flags) {
   const NetworkModel hybrid(Scenario::Starlink(),
                             MakeOptions(config, ConnectivityMode::kHybrid),
                             cities);
-  auto snap = hybrid.BuildSnapshot(0.0);
+  SweepWorkspace ws;
+  const NetworkModel::Snapshot& snap = hybrid.BuildSnapshot(0.0, &ws.snapshot);
+  const std::vector<graph::Path> paths =
+      RoutePairPaths(snap, pairs, GroupPairsBySource(pairs), ws);
 
-  flow::FlowNetwork net;
-  for (graph::EdgeId e = 0; e < snap.graph.NumEdges(); ++e) {
-    net.AddLink(snap.graph.Edge(e).capacity);
-  }
+  // One flow per reachable pair, on its shortest path.
+  FlowNetworkBuilder flows(snap.graph, /*directional=*/false);
   std::vector<double> weights;
   double weight_sum = 0.0;
-  for (const CityPair& pair : pairs) {
-    const auto paths = graph::KEdgeDisjointShortestPaths(
-        snap.graph, snap.CityNode(pair.a), snap.CityNode(pair.b), 1);
-    if (paths.empty()) {
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    if (paths[i].nodes.empty()) {
       continue;
     }
-    std::vector<flow::LinkId> links(paths[0].edges.begin(), paths[0].edges.end());
-    net.AddFlow(std::move(links));
-    const double w = std::sqrt(cities[static_cast<size_t>(pair.a)].population_k *
-                               cities[static_cast<size_t>(pair.b)].population_k);
+    flows.AddPath(paths[i]);
+    const double w = std::sqrt(cities[static_cast<size_t>(pairs[i].a)].population_k *
+                               cities[static_cast<size_t>(pairs[i].b)].population_k);
     weights.push_back(w);
     weight_sum += w;
   }
@@ -571,13 +549,17 @@ int RunExtWeightedDemand(const StudyConfig& flags) {
     w *= weights.size() / weight_sum;
   }
 
+  const auto net = flows.Build();
   const flow::Allocation uniform = flow::MaxMinFairAllocate(net);
   const flow::Allocation weighted = flow::MaxMinFairAllocateWeighted(net, weights);
 
   PrintBanner(std::cout, "rate distribution across flows (Gbps)");
   Table table({"allocator", "total", "p10", "median", "p90", "max"});
   const auto add = [&](const char* name, const flow::Allocation& alloc) {
-    std::vector<double> rates = alloc.flow_rate_gbps;
+    const std::vector<double>& rates = alloc.flow_rate_gbps;
+    if (rates.empty()) {
+      return;  // no routed flow (e.g. --pairs=0)
+    }
     table.AddRow({name, FormatDouble(alloc.total_gbps, 1),
                   FormatDouble(Percentile(rates, 10.0)),
                   FormatDouble(Percentile(rates, 50.0)),
@@ -690,6 +672,9 @@ int RunAblationKaband(const StudyConfig& flags) {
     AttenuationOptions options;
     const AttenuationDistributions result =
         RunAttenuationStudy(bp, isl, pairs, 0.0, options);
+    if (result.bp_db.empty() || result.isl_db.empty()) {
+      continue;  // no reachable pair to take a median of (e.g. --pairs=0)
+    }
     const double bp_median = Median(result.bp_db);
     const double isl_median = Median(result.isl_db);
     const double gap = bp_median - isl_median;

@@ -2,6 +2,7 @@
 #include "studies.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -129,30 +130,47 @@ int RunFig2Latency(const StudyConfig& config) {
   const std::vector<double> bp_range = result.Ranges(result.bp);
   const std::vector<double> hy_range = result.Ranges(result.hybrid);
 
+  // A table row or summary value derived from an empty sample (no pair
+  // reachable, as with --pairs=0) is left out or printed as n/a.
+  const bool have_min = !bp_min.empty() && !hy_min.empty();
+  const bool have_range = !bp_range.empty() && !hy_range.empty();
   PrintBanner(std::cout, "Fig. 2(a): CDF of min RTT across city pairs (ms)");
   Table min_table({"percentile", "BP min RTT (ms)", "hybrid min RTT (ms)"});
   for (const double p : {5.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0, 100.0}) {
+    if (!have_min) {
+      break;
+    }
     min_table.AddRow({FormatDouble(p, 0), FormatDouble(Percentile(bp_min, p)),
                       FormatDouble(Percentile(hy_min, p))});
   }
   min_table.Print(std::cout);
-  std::printf("max BP-vs-hybrid min-RTT difference: %.1f ms (paper: up to 57 ms)\n",
-              Percentile(bp_min, 100.0) - Percentile(hy_min, 100.0));
+  std::printf("max BP-vs-hybrid min-RTT difference: %s ms (paper: up to 57 ms)\n",
+              have_min ? FormatDouble(Percentile(bp_min, 100.0) -
+                                          Percentile(hy_min, 100.0),
+                                      1).c_str()
+                       : "n/a");
 
   PrintBanner(std::cout, "Fig. 2(b): CDF of RTT variation (max-min) across pairs (ms)");
   Table range_table({"percentile", "BP range (ms)", "hybrid range (ms)"});
   for (const double p : {5.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0, 100.0}) {
+    if (!have_range) {
+      break;
+    }
     range_table.AddRow({FormatDouble(p, 0), FormatDouble(Percentile(bp_range, p)),
                         FormatDouble(Percentile(hy_range, p))});
   }
   range_table.Print(std::cout);
 
-  const double median_increase =
-      (Percentile(bp_range, 50.0) / std::max(Percentile(hy_range, 50.0), 1e-9) - 1.0) *
-      100.0;
-  const double p95_increase =
-      (Percentile(bp_range, 95.0) / std::max(Percentile(hy_range, 95.0), 1e-9) - 1.0) *
-      100.0;
+  // Signed like printf's %+.0f.
+  const auto increase_at = [&](double p) -> std::string {
+    if (!have_range) {
+      return "n/a";
+    }
+    const double pct =
+        (Percentile(bp_range, p) / std::max(Percentile(hy_range, p), 1e-9) - 1.0) *
+        100.0;
+    return (std::signbit(pct) ? "" : "+") + FormatDouble(pct, 0);
+  };
   if (!csv_prefix.empty()) {
     const auto dump = [&](const std::string& name, std::vector<double> values) {
       std::ofstream file(csv_prefix + "_" + name + ".csv");
@@ -165,12 +183,13 @@ int RunFig2Latency(const StudyConfig& config) {
     std::printf("\nwrote %s_{min,range}_{bp,hybrid}.csv\n", csv_prefix.c_str());
   }
 
-  std::printf("\nRTT-variation increase without ISLs: median %+.0f%% (paper: +80%%), "
-              "95th-p %+.0f%% (paper: +422%%)\n",
-              median_increase, p95_increase);
-  std::printf("max hybrid range: %.1f ms (paper: <20 ms); max BP range: %.1f ms "
+  std::printf("\nRTT-variation increase without ISLs: median %s%% (paper: +80%%), "
+              "95th-p %s%% (paper: +422%%)\n",
+              increase_at(50.0).c_str(), increase_at(95.0).c_str());
+  std::printf("max hybrid range: %s ms (paper: <20 ms); max BP range: %s ms "
               "(paper: up to 100 ms)\n",
-              Percentile(hy_range, 100.0), Percentile(bp_range, 100.0));
+              PercentileOrNa(hy_range, 100.0, 1).c_str(),
+              PercentileOrNa(bp_range, 100.0, 1).c_str());
   return 0;
 }
 
@@ -352,19 +371,31 @@ int RunFig6Attenuation(const StudyConfig& config) {
       RunAttenuationStudy(bp, isl, pairs, 0.0, options);
 
   PrintBanner(std::cout, "Fig. 6: CDF of worst-link attenuation (dB), 0.5% exceedance");
+  // Rows and values derived from an empty sample (no pair reachable, as
+  // with --pairs=0) are left out or printed as n/a.
+  const bool have_both = !result.bp_db.empty() && !result.isl_db.empty();
   Table table({"percentile", "BP (dB)", "ISL (dB)"});
   for (const double p : {5.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0}) {
+    if (!have_both) {
+      break;
+    }
     table.AddRow({FormatDouble(p, 0), FormatDouble(Percentile(result.bp_db, p)),
                   FormatDouble(Percentile(result.isl_db, p))});
   }
   table.Print(std::cout);
 
-  const double median_gap = Median(result.bp_db) - Median(result.isl_db);
-  std::printf("\nmedian BP-vs-ISL gap: %.2f dB (paper: >1 dB, i.e. ~11%% received "
-              "power)\n", median_gap);
-  std::printf("received power at median: BP %.0f%%, ISL %.0f%%\n",
-              itur::ReceivedPowerFraction(Median(result.bp_db)) * 100.0,
-              itur::ReceivedPowerFraction(Median(result.isl_db)) * 100.0);
+  const auto power_at_median = [](const std::vector<double>& db) {
+    return db.empty() ? "n/a"
+                      : FormatDouble(itur::ReceivedPowerFraction(Median(db)) * 100.0, 0);
+  };
+  std::printf("\nmedian BP-vs-ISL gap: %s dB (paper: >1 dB, i.e. ~11%% received "
+              "power)\n",
+              have_both ? FormatDouble(Median(result.bp_db) - Median(result.isl_db))
+                              .c_str()
+                        : "n/a");
+  std::printf("received power at median: BP %s%%, ISL %s%%\n",
+              power_at_median(result.bp_db).c_str(),
+              power_at_median(result.isl_db).c_str());
   std::printf("unreachable pairs: BP %d, ISL %d (of %zu)\n", result.bp_unreachable,
               result.isl_unreachable, pairs.size());
   return 0;

@@ -7,6 +7,8 @@
 #include <utility>
 
 #include "core/net_trace.hpp"
+#include "core/report.hpp"
+#include "core/stats.hpp"
 #include "data/city_catalog.hpp"
 #include "obs/flight.hpp"
 #include "obs/log.hpp"
@@ -290,6 +292,12 @@ void PrintConfig(const StudyConfig& config, const char* what) {
       "snapshots=%d step=%.0fs\n",
       config.num_cities, config.num_pairs, config.relay_spacing_deg,
       config.aircraft_scale, config.num_snapshots, config.step_sec);
+}
+
+std::string PercentileOrNa(const std::vector<double>& values, double p,
+                           int precision) {
+  return values.empty() ? "n/a"
+                        : core::FormatDouble(core::Percentile(values, p), precision);
 }
 
 }  // namespace leosim::cli

@@ -113,4 +113,11 @@ std::vector<core::CityPair> MakePairs(const StudyConfig& config,
                                       const std::vector<data::City>& cities);
 void PrintConfig(const StudyConfig& config, const char* what);
 
+// FormatDouble(Percentile(values, p), precision), or "n/a" for an empty
+// sample (no pair reachable, as with --pairs=0). The studies leave out
+// table rows derived from an empty sample and print its summary values
+// through this.
+std::string PercentileOrNa(const std::vector<double>& values, double p,
+                           int precision = 2);
+
 }  // namespace leosim::cli

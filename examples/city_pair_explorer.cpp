@@ -4,6 +4,7 @@
 //
 //   ./city_pair_explorer [cityA] [cityB] [hours]   (default: Maceio Durban 2)
 #include <cstdio>
+#include <exception>
 #include <iostream>
 #include <optional>
 
@@ -15,7 +16,9 @@
 using namespace leosim;
 using namespace leosim::core;
 
-int main(int argc, char** argv) {
+namespace {
+
+int Run(int argc, char** argv) {
   const std::string city_a = argc > 1 ? argv[1] : "Maceio";
   const std::string city_b = argc > 2 ? argv[2] : "Durban";
   const std::optional<double> hours =
@@ -65,4 +68,15 @@ int main(int argc, char** argv) {
   std::printf("\nBP paths bounce through ground relays and aircraft; hybrid "
               "paths ride laser ISLs and stay short and stable.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return Run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "city_pair_explorer: %s\n", e.what());
+    return 1;
+  }
 }

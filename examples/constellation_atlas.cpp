@@ -4,6 +4,7 @@
 //
 //   ./constellation_atlas [starlink|kuiper]
 #include <cstdio>
+#include <exception>
 #include <iostream>
 #include <string>
 
@@ -17,7 +18,9 @@
 using namespace leosim;
 using namespace leosim::core;
 
-int main(int argc, char** argv) {
+namespace {
+
+int Run(int argc, char** argv) {
   const std::string which = argc > 1 ? argv[1] : "starlink";
   const Scenario scenario =
       which == "kuiper" ? Scenario::Kuiper() : Scenario::Starlink();
@@ -69,4 +72,15 @@ int main(int argc, char** argv) {
               "zero beyond it — the reason mid-latitude cities are served "
               "best.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return Run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "constellation_atlas: %s\n", e.what());
+    return 1;
+  }
 }

@@ -3,6 +3,7 @@
 //
 //   ./quickstart [cityA] [cityB]      (defaults: London, New York)
 #include <cstdio>
+#include <exception>
 #include <stdexcept>
 
 #include "core/network_builder.hpp"
@@ -12,7 +13,9 @@
 
 using namespace leosim;
 
-int main(int argc, char** argv) {
+namespace {
+
+int Run(int argc, char** argv) {
   const std::string city_a = argc > 1 ? argv[1] : "London";
   const std::string city_b = argc > 2 ? argv[2] : "New York";
 
@@ -67,4 +70,15 @@ int main(int argc, char** argv) {
                 g.latitude_deg, g.longitude_deg, g.altitude_km);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return Run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "quickstart: %s\n", e.what());
+    return 1;
+  }
 }

@@ -6,6 +6,7 @@
 //
 //   ./tle_ingest [catalogue.tle]
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -39,9 +40,7 @@ std::string SyntheticCatalogue() {
   return text;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int Run(int argc, char** argv) {
   std::string text;
   if (argc > 1) {
     std::ifstream file(argv[1]);
@@ -88,4 +87,15 @@ int main(int argc, char** argv) {
     std::printf("sat 0 never rises over Zurich in the next 24 h\n");
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return Run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "tle_ingest: %s\n", e.what());
+    return 1;
+  }
 }

@@ -4,6 +4,7 @@
 //
 //   ./weather_planner [city] [freq_ghz]    (default: Singapore 14.25)
 #include <cstdio>
+#include <exception>
 #include <iostream>
 #include <optional>
 
@@ -15,7 +16,9 @@
 using namespace leosim;
 using namespace leosim::core;
 
-int main(int argc, char** argv) {
+namespace {
+
+int Run(int argc, char** argv) {
   const std::string city = argc > 1 ? argv[1] : "Singapore";
   const std::optional<double> freq =
       argc > 2 ? cli::ParseDouble(argv[2]) : 14.25;
@@ -59,4 +62,15 @@ int main(int argc, char** argv) {
   std::printf("\nhigher availability targets require surviving deeper fades — "
               "the MODCOD margin the paper's §6 discusses.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return Run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "weather_planner: %s\n", e.what());
+    return 1;
+  }
 }

@@ -1,8 +1,11 @@
 #include "core/attenuation_study.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "core/report.hpp"
+#include "core/routing_tiers.hpp"
+#include "core/temporal_sweep.hpp"
 #include "data/cities.hpp"
 #include "geo/geodesic.hpp"
 #include "itur/slant_path.hpp"
@@ -45,34 +48,25 @@ AttenuationDistributions RunAttenuationStudy(const NetworkModel& bp_model,
                                              double time_sec,
                                              const AttenuationOptions& options) {
   const StudyTimer timer;
-  // Two workspaces: both snapshots stay alive for the whole pair loop.
-  NetworkModel::SnapshotWorkspace bp_ws;
-  NetworkModel::SnapshotWorkspace isl_ws;
-  const NetworkModel::Snapshot& bp_snap = bp_model.BuildSnapshot(time_sec, &bp_ws);
-  const NetworkModel::Snapshot& isl_snap = isl_model.BuildSnapshot(time_sec, &isl_ws);
-
+  const std::vector<SourceGroup> groups = GroupPairsBySource(pairs);
+  SweepWorkspace ws;
+  // One model's snapshot: each reachable pair's worst-link attenuation,
+  // appended in pair order.
+  const auto route = [&](const NetworkModel& model, std::vector<double>* db,
+                         int* unreachable) {
+    const NetworkModel::Snapshot& snap = model.BuildSnapshot(time_sec, &ws.snapshot);
+    for (const graph::Path& path : RoutePairPaths(snap, pairs, groups, ws)) {
+      if (path.nodes.empty()) {
+        ++*unreachable;
+      } else {
+        db->push_back(WorstLinkAttenuationDb(model, snap, path, options));
+      }
+    }
+  };
   AttenuationDistributions result;
-  graph::DijkstraWorkspace dijkstra_ws;
-  for (const CityPair& pair : pairs) {
-    const auto bp_path =
-        graph::ShortestPath(bp_snap.graph, bp_snap.CityNode(pair.a),
-                            bp_snap.CityNode(pair.b), dijkstra_ws);
-    if (bp_path.has_value()) {
-      result.bp_db.push_back(
-          WorstLinkAttenuationDb(bp_model, bp_snap, *bp_path, options));
-    } else {
-      ++result.bp_unreachable;
-    }
-    const auto isl_path =
-        graph::ShortestPath(isl_snap.graph, isl_snap.CityNode(pair.a),
-                            isl_snap.CityNode(pair.b), dijkstra_ws);
-    if (isl_path.has_value()) {
-      result.isl_db.push_back(
-          WorstLinkAttenuationDb(isl_model, isl_snap, *isl_path, options));
-    } else {
-      ++result.isl_unreachable;
-    }
-  }
+  route(bp_model, &result.bp_db, &result.bp_unreachable);
+  route(isl_model, &result.isl_db, &result.isl_unreachable);
+
   StudySummary summary;
   summary.study = "attenuation";
   summary.snapshots_built = 2;
@@ -92,31 +86,25 @@ PathAttenuationCcdf TracePairAttenuation(const NetworkModel& bp_model,
                                          const AttenuationOptions& options) {
   PathAttenuationCcdf out;
   out.exceedance_pct = exceedances;
-
-  const int a_bp = data::CityIndexByName(bp_model.cities(), city_a);
-  const int b_bp = data::CityIndexByName(bp_model.cities(), city_b);
-  const int a_isl = data::CityIndexByName(isl_model.cities(), city_a);
-  const int b_isl = data::CityIndexByName(isl_model.cities(), city_b);
-  NetworkModel::SnapshotWorkspace bp_ws;
-  NetworkModel::SnapshotWorkspace isl_ws;
-  const NetworkModel::Snapshot& bp_snap = bp_model.BuildSnapshot(time_sec, &bp_ws);
-  const NetworkModel::Snapshot& isl_snap = isl_model.BuildSnapshot(time_sec, &isl_ws);
-
-  const auto bp_path = graph::ShortestPath(bp_snap.graph, bp_snap.CityNode(a_bp),
-                                           bp_snap.CityNode(b_bp));
-  const auto isl_path = graph::ShortestPath(isl_snap.graph, isl_snap.CityNode(a_isl),
-                                            isl_snap.CityNode(b_isl));
-  out.bp_reachable = bp_path.has_value();
-  out.isl_reachable = isl_path.has_value();
-
-  for (const double p : exceedances) {
-    AttenuationOptions at_p = options;
-    at_p.exceedance_pct = p;
-    out.bp_db.push_back(
-        bp_path ? WorstLinkAttenuationDb(bp_model, bp_snap, *bp_path, at_p) : 0.0);
-    out.isl_db.push_back(
-        isl_path ? WorstLinkAttenuationDb(isl_model, isl_snap, *isl_path, at_p) : 0.0);
-  }
+  SweepWorkspace ws;
+  // One model's path at every exceedance (0 dB when unreachable); returns
+  // whether the pair is reachable.
+  const auto trace = [&](const NetworkModel& model, std::vector<double>* db) {
+    const std::vector<CityPair> pair = {{data::CityIndexByName(model.cities(), city_a),
+                                         data::CityIndexByName(model.cities(), city_b)}};
+    const NetworkModel::Snapshot& snap = model.BuildSnapshot(time_sec, &ws.snapshot);
+    const graph::Path path =
+        std::move(RoutePairPaths(snap, pair, GroupPairsBySource(pair), ws)[0]);
+    for (const double p : exceedances) {
+      AttenuationOptions at_p = options;
+      at_p.exceedance_pct = p;
+      db->push_back(path.nodes.empty() ? 0.0
+                                       : WorstLinkAttenuationDb(model, snap, path, at_p));
+    }
+    return !path.nodes.empty();
+  };
+  out.bp_reachable = trace(bp_model, &out.bp_db);
+  out.isl_reachable = trace(isl_model, &out.isl_db);
   return out;
 }
 

@@ -1,5 +1,7 @@
 #include "core/coverage_study.hpp"
 
+#include <algorithm>
+
 #include "core/report.hpp"
 #include "geo/geodesic.hpp"
 #include "link/visibility.hpp"
@@ -7,13 +9,17 @@
 
 namespace leosim::core {
 
-std::vector<CoverageRow> RunCoverageStudy(const Scenario& scenario,
+std::vector<CoverageRow> RunCoverageStudy(const std::vector<orbit::OrbitalShell>& shells,
+                                          double min_elevation_deg,
                                           const CoverageStudyOptions& options) {
   const StudyTimer timer;
   orbit::Constellation constellation;
-  constellation.AddShell(scenario.shell);
-  const double coverage = geo::CoverageRadiusKm(scenario.shell.altitude_km,
-                                                scenario.radio.min_elevation_deg);
+  double max_altitude_km = 0.0;
+  for (const orbit::OrbitalShell& shell : shells) {
+    constellation.AddShell(shell);
+    max_altitude_km = std::max(max_altitude_km, shell.altitude_km);
+  }
+  const double coverage = geo::CoverageRadiusKm(max_altitude_km, min_elevation_deg);
 
   std::vector<CoverageRow> rows;
   rows.reserve(options.latitudes_deg.size());
@@ -38,7 +44,7 @@ std::vector<CoverageRow> RunCoverageStudy(const Scenario& scenario,
     ++samples;
     for (size_t i = 0; i < rows.size(); ++i) {
       CoverageRow& row = rows[i];
-      index.VisibleInto(row_ecef[i], scenario.radio.min_elevation_deg, &visible);
+      index.VisibleInto(row_ecef[i], min_elevation_deg, &visible);
       row.mean_visible += static_cast<double>(visible.size());
       if (static_cast<int>(visible.size()) >= options.min_satellites) {
         row.availability += 1.0;

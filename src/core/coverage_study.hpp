@@ -7,7 +7,7 @@
 
 #include <vector>
 
-#include "core/scenario.hpp"
+#include "orbit/walker.hpp"
 
 namespace leosim::core {
 
@@ -25,7 +25,11 @@ struct CoverageRow {
   double availability{0.0};  // fraction of samples with >= min_satellites
 };
 
-std::vector<CoverageRow> RunCoverageStudy(const Scenario& scenario,
+// A terminal at each of options.latitudes_deg, seeing the satellites of
+// every shell in `shells` above `min_elevation_deg`; the visibility
+// search radius is the highest shell's coverage radius.
+std::vector<CoverageRow> RunCoverageStudy(const std::vector<orbit::OrbitalShell>& shells,
+                                          double min_elevation_deg,
                                           const CoverageStudyOptions& options);
 
 }  // namespace leosim::core

@@ -4,8 +4,9 @@
 #include <numeric>
 
 #include "core/report.hpp"
+#include "core/routing_tiers.hpp"
+#include "core/temporal_sweep.hpp"
 #include "data/rng.hpp"
-#include "graph/dijkstra.hpp"
 
 namespace leosim::core {
 
@@ -15,13 +16,13 @@ std::vector<FailureRow> RunFailureStudy(const NetworkModel& model,
   const StudyTimer timer;
   StudySummary summary;
   summary.study = "failure";
-  NetworkModel::SnapshotWorkspace snapshot_ws;
-  NetworkModel::Snapshot& snap = model.BuildSnapshot(options.time_sec, &snapshot_ws);
+  SweepWorkspace ws;
+  NetworkModel::Snapshot& snap = model.BuildSnapshot(options.time_sec, &ws.snapshot);
   summary.snapshots_built = 1;
   data::SplitMix64 rng(options.seed);
+  const std::vector<SourceGroup> groups = GroupPairsBySource(pairs);
 
   std::vector<FailureRow> rows;
-  graph::DijkstraWorkspace dijkstra_ws;
   for (const double fraction : options.failure_fractions) {
     const int failures =
         static_cast<int>(fraction * static_cast<double>(snap.num_sats));
@@ -49,19 +50,19 @@ std::vector<FailureRow> RunFailureStudy(const NetworkModel& model,
       }
 
       int reachable = 0;
-      for (const CityPair& pair : pairs) {
-        const auto path = graph::ShortestPath(snap.graph, snap.CityNode(pair.a),
-                                              snap.CityNode(pair.b), dijkstra_ws);
-        if (path.has_value()) {
+      for (const graph::Path& path : RoutePairPaths(snap, pairs, groups, ws)) {
+        if (!path.nodes.empty()) {
           ++reachable;
           ++summary.pairs_routed;
-          rtt_sum += 2.0 * path->distance;
+          rtt_sum += 2.0 * path.distance;
           ++rtt_count;
         } else {
           ++summary.pairs_unreachable;
         }
       }
-      reachable_sum += static_cast<double>(reachable) / pairs.size();
+      if (!pairs.empty()) {
+        reachable_sum += static_cast<double>(reachable) / pairs.size();
+      }
 
       for (const graph::EdgeId e : disabled) {
         snap.graph.SetEnabled(e, true);

@@ -1,7 +1,8 @@
 #include "core/gso_network_study.hpp"
 
 #include "core/report.hpp"
-#include "graph/dijkstra.hpp"
+#include "core/routing_tiers.hpp"
+#include "core/temporal_sweep.hpp"
 
 namespace leosim::core {
 
@@ -18,11 +19,14 @@ GsoModeImpact CompareMode(const Scenario& scenario,
   options.gso_separation_deg = gso.separation_deg;
   const NetworkModel excluded(scenario, options, cities);
 
-  // Two workspaces: both snapshots stay alive for the whole pair loop.
-  NetworkModel::SnapshotWorkspace plain_ws;
-  NetworkModel::SnapshotWorkspace excl_ws;
-  const auto& plain_snap = plain.BuildSnapshot(gso.time_sec, &plain_ws);
-  const auto& excl_snap = excluded.BuildSnapshot(gso.time_sec, &excl_ws);
+  // One workspace: each model's paths are routed, in pair order, before
+  // the next snapshot is built into it.
+  const std::vector<SourceGroup> groups = GroupPairsBySource(pairs);
+  SweepWorkspace ws;
+  const std::vector<graph::Path> p0 = RoutePairPaths(
+      plain.BuildSnapshot(gso.time_sec, &ws.snapshot), pairs, groups, ws);
+  const std::vector<graph::Path> p1 = RoutePairPaths(
+      excluded.BuildSnapshot(gso.time_sec, &ws.snapshot), pairs, groups, ws);
   summary->snapshots_built += 2;
 
   GsoModeImpact impact;
@@ -30,29 +34,24 @@ GsoModeImpact CompareMode(const Scenario& scenario,
   double rtt_without_sum = 0.0;
   double rtt_with_sum = 0.0;
   int both = 0;
-  graph::DijkstraWorkspace dijkstra_ws;
-  for (const CityPair& pair : pairs) {
-    const auto p0 =
-        graph::ShortestPath(plain_snap.graph, plain_snap.CityNode(pair.a),
-                            plain_snap.CityNode(pair.b), dijkstra_ws);
-    const auto p1 =
-        graph::ShortestPath(excl_snap.graph, excl_snap.CityNode(pair.a),
-                            excl_snap.CityNode(pair.b), dijkstra_ws);
-    if (p0.has_value()) {
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const bool r0 = !p0[i].nodes.empty();
+    const bool r1 = !p1[i].nodes.empty();
+    if (r0) {
       ++impact.reachable_without_exclusion;
       ++summary->pairs_routed;
     } else {
       ++summary->pairs_unreachable;
     }
-    if (p1.has_value()) {
+    if (r1) {
       ++impact.reachable_with_exclusion;
       ++summary->pairs_routed;
     } else {
       ++summary->pairs_unreachable;
     }
-    if (p0.has_value() && p1.has_value()) {
-      rtt_without_sum += 2.0 * p0->distance;
-      rtt_with_sum += 2.0 * p1->distance;
+    if (r0 && r1) {
+      rtt_without_sum += 2.0 * p0[i].distance;
+      rtt_with_sum += 2.0 * p1[i].distance;
       ++both;
     }
   }

@@ -3,8 +3,9 @@
 #include <algorithm>
 
 #include "core/report.hpp"
+#include "core/routing_tiers.hpp"
+#include "core/temporal_sweep.hpp"
 #include "geo/geodesic.hpp"
-#include "graph/dijkstra.hpp"
 #include "itur/slant_path.hpp"
 #include "obs/progress.hpp"
 #include "obs/timeseries.hpp"
@@ -17,8 +18,8 @@ std::vector<OutageRow> RunOutageStudy(const NetworkModel& model,
   const StudyTimer timer;
   StudySummary summary;
   summary.study = "outage";
-  NetworkModel::SnapshotWorkspace snapshot_ws;
-  NetworkModel::Snapshot& snap = model.BuildSnapshot(options.time_sec, &snapshot_ws);
+  SweepWorkspace ws;
+  NetworkModel::Snapshot& snap = model.BuildSnapshot(options.time_sec, &ws.snapshot);
   summary.snapshots_built = 1;
   const link::RadioConfig& radio = model.scenario().radio;
 
@@ -46,8 +47,8 @@ std::vector<OutageRow> RunOutageStudy(const NetworkModel& model,
     link_attenuation[i] = std::max(up, down);
   }
 
+  const std::vector<SourceGroup> groups = GroupPairsBySource(pairs);
   std::vector<OutageRow> rows;
-  graph::DijkstraWorkspace dijkstra_ws;
   obs::TimeseriesRecorder& recorder = obs::TimeseriesRecorder::Global();
   obs::ProgressReporter progress(
       "outage", static_cast<uint64_t>(options.margins_db.size()));
@@ -68,18 +69,17 @@ std::vector<OutageRow> RunOutageStudy(const NetworkModel& model,
             : static_cast<double>(disabled) / snap.radio_edges.size();
     int reachable = 0;
     double rtt_sum = 0.0;
-    for (const CityPair& pair : pairs) {
-      const auto path = graph::ShortestPath(snap.graph, snap.CityNode(pair.a),
-                                            snap.CityNode(pair.b), dijkstra_ws);
-      if (path.has_value()) {
+    for (const graph::Path& path : RoutePairPaths(snap, pairs, groups, ws)) {
+      if (!path.nodes.empty()) {
         ++reachable;
         ++summary.pairs_routed;
-        rtt_sum += 2.0 * path->distance;
+        rtt_sum += 2.0 * path.distance;
       } else {
         ++summary.pairs_unreachable;
       }
     }
-    row.reachable_fraction = static_cast<double>(reachable) / pairs.size();
+    row.reachable_fraction =
+        pairs.empty() ? 0.0 : static_cast<double>(reachable) / pairs.size();
     row.mean_rtt_ms = reachable > 0 ? rtt_sum / reachable : 0.0;
     // The study sweeps margin, not time: samples use margin_db as the x
     // coordinate (see the timeseries header comment).

@@ -181,16 +181,11 @@ PolicyThroughputResult RunThroughputWithPolicy(const NetworkModel& model,
   NetworkModel::SnapshotWorkspace snapshot_ws;
   NetworkModel::Snapshot& snap = model.BuildSnapshot(time_sec, &snapshot_ws);
 
-  flow::FlowNetwork net;
-  for (graph::EdgeId e = 0; e < snap.graph.NumEdges(); ++e) {
-    net.AddLink(snap.graph.Edge(e).capacity);
-  }
-
+  FlowNetworkBuilder flows(snap.graph, /*directional=*/false);
   PolicyThroughputResult result;
   result.policy = policy;
   RoutingState state;
   double latency_sum = 0.0;
-  int latency_count = 0;
   for (const CityPair& pair : pairs) {
     const std::vector<graph::Path> paths = RoutePair(
         snap.graph, snap.CityNode(pair.a), snap.CityNode(pair.b), k, policy, state);
@@ -198,11 +193,9 @@ PolicyThroughputResult RunThroughputWithPolicy(const NetworkModel& model,
       ++result.throughput.pairs_routed;
     }
     for (const graph::Path& path : paths) {
-      std::vector<flow::LinkId> links(path.edges.begin(), path.edges.end());
-      net.AddFlow(std::move(links));
+      flows.AddPath(path);
       ++result.throughput.subflows;
       latency_sum += path.distance;
-      ++latency_count;
     }
   }
   if (result.throughput.pairs_routed > 0) {
@@ -210,10 +203,11 @@ PolicyThroughputResult RunThroughputWithPolicy(const NetworkModel& model,
         static_cast<double>(result.throughput.subflows) /
         result.throughput.pairs_routed;
   }
-  if (latency_count > 0) {
-    result.mean_path_latency_ms = latency_sum / latency_count;
+  if (result.throughput.subflows > 0) {
+    result.mean_path_latency_ms = latency_sum / result.throughput.subflows;
   }
 
+  const flow::FlowNetwork net = flows.Build();
   const flow::Allocation alloc = flow::MaxMinFairAllocate(net);
   result.throughput.total_gbps = alloc.total_gbps;
   for (const double u : flow::LinkUtilisation(net, alloc)) {

@@ -1,9 +1,15 @@
 // The one routing-tier dispatch for the per-snapshot pair-routing
-// studies (latency, churn, throughput). Each routes the same shape of
-// workload — many city pairs grouped by source against one snapshot —
-// and RouteSourceGroups tiers it the same way for all of them:
-// component precheck, then one multi-target Dijkstra for sources with
-// enough surviving destinations, then goal-directed A* for the rest.
+// studies: latency (Fig. 2), route churn, throughput (Figs. 4-5, whose
+// first paths seed the edge-disjoint follow-ups), the Fig. 3 path trace,
+// attenuation (Fig. 6), satellite failures, weather outages and the
+// network-level GSO exclusion, plus the CLI's weighted-demand and
+// flow-completion extensions. Each routes the same shape of workload —
+// many city pairs grouped by source against one snapshot — and
+// RouteSourceGroups tiers it the same way for all of them: component
+// precheck, then one multi-target Dijkstra for sources with enough
+// surviving destinations, then goal-directed A* for the rest. Routed
+// paths become max-min flows through the one flow-network builder,
+// FlowNetworkBuilder (core/throughput_study.hpp).
 #pragma once
 
 #include <cstddef>
@@ -103,6 +109,20 @@ void RouteSourceGroups(const NetworkModel::Snapshot& snap,
       }
     }
   }
+}
+
+// Every pair's shortest path in pair order, through RouteSourceGroups:
+// element i is pairs[i]'s path, or an empty path (no nodes) when the
+// pair is unreachable.
+inline std::vector<graph::Path> RoutePairPaths(
+    const NetworkModel::Snapshot& snap, const std::vector<CityPair>& pairs,
+    const std::vector<SourceGroup>& groups, SweepWorkspace& ws) {
+  std::vector<graph::Path> paths(pairs.size());
+  RouteSourceGroups(snap, pairs, groups, ws,
+                    [&paths](int i, double, const auto& path_of) {
+                      paths[static_cast<size_t>(i)] = path_of();
+                    });
+  return paths;
 }
 
 }  // namespace leosim::core

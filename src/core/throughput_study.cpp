@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "core/report.hpp"
@@ -13,6 +14,46 @@
 #include "obs/timeseries.hpp"
 
 namespace leosim::core {
+
+void FlowNetworkBuilder::AddPath(const graph::Path& path) {
+  std::vector<flow::LinkId> keys;
+  keys.reserve(path.edges.size());
+  for (size_t h = 0; h < path.edges.size(); ++h) {
+    const graph::EdgeId e = path.edges[h];
+    if (!directional_) {
+      keys.push_back(e);
+    } else {
+      const bool forward = g_.Edge(e).a == path.nodes[h];
+      keys.push_back(2 * e + (forward ? 0 : 1));
+    }
+  }
+  flows_.push_back(std::move(keys));
+}
+
+flow::FlowNetwork FlowNetworkBuilder::Build() {
+  const size_t num_keys =
+      static_cast<size_t>(g_.NumEdges()) * (directional_ ? 2 : 1);
+  std::vector<flow::LinkId> link_of_key(num_keys, -1);
+  for (const std::vector<flow::LinkId>& keys : flows_) {
+    for (const flow::LinkId key : keys) {
+      link_of_key[static_cast<size_t>(key)] = 0;  // used; id assigned below
+    }
+  }
+  flow::FlowNetwork net;
+  for (size_t key = 0; key < num_keys; ++key) {
+    if (link_of_key[key] >= 0) {
+      const graph::EdgeId e = static_cast<graph::EdgeId>(directional_ ? key / 2 : key);
+      link_of_key[key] = net.AddLink(g_.Edge(e).capacity);
+    }
+  }
+  for (std::vector<flow::LinkId>& links : flows_) {
+    for (flow::LinkId& link : links) {
+      link = link_of_key[static_cast<size_t>(link)];
+    }
+    net.AddFlow(std::move(links));
+  }
+  return net;
+}
 
 namespace {
 
@@ -26,20 +67,13 @@ constexpr int kDisjointLandmarks = 8;
 // the disjoint-path router would find — and seeds
 // KEdgeDisjointShortestPaths for the remaining k-1 paths, which run as
 // ALT A* over the worker's landmark table (the same paths Dijkstra
-// finds, see disjoint_paths.hpp). Flows are handed to the allocator in
-// the original pair order, so the allocation matches the historical
-// per-pair loop.
+// finds, see disjoint_paths.hpp).
 ThroughputResult ThroughputAtSnapshot(NetworkModel::Snapshot& snap,
                                       const std::vector<CityPair>& pairs,
                                       const std::vector<SourceGroup>& groups,
                                       int k, bool directional,
                                       SweepWorkspace* ws) {
-  // An unreachable pair keeps an empty first path.
-  std::vector<graph::Path> first(pairs.size());
-  RouteSourceGroups(snap, pairs, groups, *ws,
-                    [&first](int i, double, const auto& path_of) {
-                      first[static_cast<size_t>(i)] = path_of();
-                    });
+  std::vector<graph::Path> first = RoutePairPaths(snap, pairs, groups, *ws);
 
   // One landmark table per snapshot, built before any path edge is
   // disabled (see landmarks.hpp on why it is never refreshed per pair).
@@ -50,121 +84,50 @@ ThroughputResult ThroughputAtSnapshot(NetworkModel::Snapshot& snap,
     ws->landmarks->Rebuild(snap.graph, ws->dijkstra);
   }
 
-  // Each flow's links, keyed first by graph edge: the edge id in the
-  // shared model; 2e for the a->b direction and 2e+1 for b->a with
-  // separate up/down capacities.
   ThroughputResult result;
-  std::vector<std::vector<flow::LinkId>> flows;
-  flows.reserve(pairs.size() * static_cast<size_t>(std::max(k, 0)));
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    if (first[i].nodes.empty()) {
+  FlowNetworkBuilder flows(snap.graph, directional);
+  for (graph::Path& path : first) {
+    if (path.nodes.empty()) {
       continue;  // unreachable: no paths, pair not routed
     }
-    const std::vector<graph::Path> paths = graph::KEdgeDisjointShortestPaths(
-        snap.graph, std::move(first[i]), k, ws->dijkstra, *ws->landmarks);
     ++result.pairs_routed;
-    for (const graph::Path& path : paths) {
-      std::vector<flow::LinkId> links;
-      links.reserve(path.edges.size());
-      for (size_t h = 0; h < path.edges.size(); ++h) {
-        const graph::EdgeId e = path.edges[h];
-        if (!directional) {
-          links.push_back(e);
-        } else {
-          const bool forward = snap.graph.Edge(e).a == path.nodes[h];
-          links.push_back(2 * e + (forward ? 0 : 1));
-        }
-      }
-      flows.push_back(std::move(links));
+    for (const graph::Path& p : graph::KEdgeDisjointShortestPaths(
+             snap.graph, std::move(path), k, ws->dijkstra, *ws->landmarks)) {
+      flows.AddPath(p);
+      ++result.subflows;
     }
   }
-  result.subflows = static_cast<int>(flows.size());
   if (result.pairs_routed > 0) {
     result.mean_paths_per_pair =
         static_cast<double>(result.subflows) / result.pairs_routed;
   }
-
-  // Links only for the keys some flow uses, numbered in increasing key
-  // order. ProgressiveFilling visits active links in id order and never
-  // looks at a link no flow crosses, so this monotone renumbering gives
-  // the same rates, bit for bit, as one link per key.
-  const size_t num_keys =
-      static_cast<size_t>(snap.graph.NumEdges()) * (directional ? 2 : 1);
-  std::vector<flow::LinkId> link_of_key(num_keys, -1);
-  for (const std::vector<flow::LinkId>& links : flows) {
-    for (const flow::LinkId key : links) {
-      link_of_key[static_cast<size_t>(key)] = 0;  // used; id assigned below
-    }
-  }
-  flow::FlowNetwork net;
-  for (size_t key = 0; key < num_keys; ++key) {
-    if (link_of_key[key] >= 0) {
-      const graph::EdgeId e = static_cast<graph::EdgeId>(directional ? key / 2 : key);
-      link_of_key[key] = net.AddLink(snap.graph.Edge(e).capacity);
-    }
-  }
-  for (std::vector<flow::LinkId>& links : flows) {
-    for (flow::LinkId& link : links) {
-      link = link_of_key[static_cast<size_t>(link)];
-    }
-    net.AddFlow(std::move(links));
-  }
-
-  const flow::Allocation alloc = flow::MaxMinFairAllocate(net);
-  result.total_gbps = alloc.total_gbps;
+  result.total_gbps = flow::MaxMinFairAllocate(flows.Build()).total_gbps;
   return result;
 }
 
-}  // namespace
-
-ThroughputResult RunThroughputStudy(const NetworkModel& model,
-                                    const std::vector<CityPair>& pairs, int k,
-                                    double time_sec, CapacityModel capacity_model) {
+// Aggregate throughput at every time of `times`, one result per slot.
+// Slots run as a parallel temporal sweep (see core/temporal_sweep.hpp);
+// the timeseries samples and the `study` summary are emitted in a serial
+// pass, so outputs do not depend on the thread count.
+std::vector<ThroughputResult> SweepThroughput(const std::string& study,
+                                              const NetworkModel& model,
+                                              const std::vector<CityPair>& pairs,
+                                              int k, const std::vector<double>& times,
+                                              CapacityModel capacity_model) {
   const StudyTimer timer;
-  SweepWorkspace ws;
-  NetworkModel::Snapshot& snap = model.BuildSnapshot(time_sec, &ws.snapshot);
-  const std::vector<SourceGroup> groups = GroupPairsBySource(pairs);
-  const ThroughputResult result = ThroughputAtSnapshot(
-      snap, pairs, groups, k,
-      capacity_model == CapacityModel::kSeparateUpDown, &ws);
-
-  obs::TimeseriesRecorder& recorder = obs::TimeseriesRecorder::Global();
-  recorder.Record(time_sec, "throughput.total_gbps", result.total_gbps);
-  recorder.Record(time_sec, "throughput.pairs_routed",
-                  static_cast<double>(result.pairs_routed));
-  recorder.Record(time_sec, "throughput.subflows",
-                  static_cast<double>(result.subflows));
-  StudySummary summary;
-  summary.study = "throughput";
-  summary.snapshots_built = 1;
-  summary.pairs_routed = static_cast<uint64_t>(result.pairs_routed);
-  summary.pairs_unreachable =
-      pairs.size() - static_cast<uint64_t>(result.pairs_routed);
-  summary.wall_seconds = timer.Seconds();
-  EmitStudySummary(summary);
-  return result;
-}
-
-std::vector<ThroughputResult> RunThroughputSweep(
-    const NetworkModel& model, const std::vector<CityPair>& pairs, int k,
-    const SnapshotSchedule& schedule, CapacityModel capacity_model) {
-  const StudyTimer timer;
-  const std::vector<double> times = schedule.Times();
   const std::vector<SourceGroup> groups = GroupPairsBySource(pairs);
   const bool directional = capacity_model == CapacityModel::kSeparateUpDown;
   std::vector<ThroughputResult> results(times.size());
   const TemporalSweep sweep(times);
-  sweep.Run("throughput_sweep", [&](const SweepItem& item, SweepWorkspace& ws) {
+  sweep.Run(study, [&](const SweepItem& item, SweepWorkspace& ws) {
     NetworkModel::Snapshot& snap =
         model.BuildSnapshot(item.time_sec, &ws.snapshot);
     results[static_cast<size_t>(item.slot)] =
         ThroughputAtSnapshot(snap, pairs, groups, k, directional, &ws);
   });
 
-  // Serial emission pass: the same samples N RunThroughputStudy calls
-  // would have recorded, independent of worker scheduling.
   StudySummary summary;
-  summary.study = "throughput_sweep";
+  summary.study = study;
   summary.snapshots_built = static_cast<uint64_t>(times.size());
   obs::TimeseriesRecorder& recorder = obs::TimeseriesRecorder::Global();
   for (size_t s = 0; s < times.size(); ++s) {
@@ -181,6 +144,22 @@ std::vector<ThroughputResult> RunThroughputSweep(
   summary.wall_seconds = timer.Seconds();
   EmitStudySummary(summary);
   return results;
+}
+
+}  // namespace
+
+ThroughputResult RunThroughputStudy(const NetworkModel& model,
+                                    const std::vector<CityPair>& pairs, int k,
+                                    double time_sec, CapacityModel capacity_model) {
+  return SweepThroughput("throughput", model, pairs, k, {time_sec},
+                         capacity_model)[0];
+}
+
+std::vector<ThroughputResult> RunThroughputSweep(
+    const NetworkModel& model, const std::vector<CityPair>& pairs, int k,
+    const SnapshotSchedule& schedule, CapacityModel capacity_model) {
+  return SweepThroughput("throughput_sweep", model, pairs, k, schedule.Times(),
+                         capacity_model);
 }
 
 DisconnectionStats RunDisconnectionStudy(const NetworkModel& model,

@@ -12,6 +12,8 @@
 #include "core/latency_study.hpp"
 #include "core/network_builder.hpp"
 #include "core/traffic_matrix.hpp"
+#include "flow/flow_network.hpp"
+#include "graph/dijkstra.hpp"
 
 namespace leosim::core {
 
@@ -31,6 +33,28 @@ struct ThroughputResult {
 //                         capacities of 20 Gbps"), so opposing flows do
 //                         not contend. Ablated in study ablation_updown.
 enum class CapacityModel { kSharedPerLink, kSeparateUpDown };
+
+// Routed paths as the max-min flow network on `g`, one flow per AddPath
+// call in call order (pair order, for every caller). Links exist only
+// for the keys some flow crosses, numbered in key order: the edge id, or
+// with `directional` 2e for a->b and 2e+1 for b->a. Progressive filling
+// skips flow-less links and visits the rest in id order, so the rates
+// equal, bit for bit, those of one link per key, weighted or not. Each
+// path is reduced to its keys when added, so callers need not keep it.
+class FlowNetworkBuilder {
+ public:
+  FlowNetworkBuilder(const graph::Graph& g, bool directional)
+      : g_(g), directional_(directional) {}
+
+  void AddPath(const graph::Path& path);
+  // The network of every path added; call once.
+  flow::FlowNetwork Build();
+
+ private:
+  const graph::Graph& g_;
+  bool directional_;
+  std::vector<std::vector<flow::LinkId>> flows_;  // each flow's keys
+};
 
 // Aggregate max-min-fair throughput at one snapshot.
 ThroughputResult RunThroughputStudy(

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/scenario.hpp"
 #include "geo/coordinates.hpp"
 #include "orbit/walker.hpp"
 
@@ -15,10 +16,16 @@ CoverageStudyOptions FastOptions() {
   return options;
 }
 
+std::vector<CoverageRow> StarlinkCoverage(const CoverageStudyOptions& options) {
+  const Scenario starlink = Scenario::Starlink();
+  return RunCoverageStudy({starlink.shell}, starlink.radio.min_elevation_deg,
+                          options);
+}
+
 TEST(CoverageStudyTest, MidLatitudesAlwaysCovered) {
   CoverageStudyOptions options = FastOptions();
   options.latitudes_deg = {30.0, 45.0, 50.0};
-  const auto rows = RunCoverageStudy(Scenario::Starlink(), options);
+  const auto rows = StarlinkCoverage(options);
   for (const CoverageRow& row : rows) {
     EXPECT_DOUBLE_EQ(row.availability, 1.0) << row.latitude_deg;
     EXPECT_GT(row.mean_visible, 2.0) << row.latitude_deg;
@@ -28,7 +35,7 @@ TEST(CoverageStudyTest, MidLatitudesAlwaysCovered) {
 TEST(CoverageStudyTest, NoCoverageWellAboveInclination) {
   CoverageStudyOptions options = FastOptions();
   options.latitudes_deg = {75.0};
-  const auto rows = RunCoverageStudy(Scenario::Starlink(), options);
+  const auto rows = StarlinkCoverage(options);
   EXPECT_DOUBLE_EQ(rows[0].availability, 0.0);
   EXPECT_DOUBLE_EQ(rows[0].mean_visible, 0.0);
 }
@@ -36,7 +43,7 @@ TEST(CoverageStudyTest, NoCoverageWellAboveInclination) {
 TEST(CoverageStudyTest, DensityPeaksNearInclinationLatitude) {
   CoverageStudyOptions options = FastOptions();
   options.latitudes_deg = {0.0, 53.0};
-  const auto rows = RunCoverageStudy(Scenario::Starlink(), options);
+  const auto rows = StarlinkCoverage(options);
   EXPECT_GT(rows[1].mean_visible, 2.0 * rows[0].mean_visible);
 }
 
@@ -45,8 +52,8 @@ TEST(CoverageStudyTest, MinSatellitesThresholdLowersAvailability) {
   one.latitudes_deg = {10.0};
   CoverageStudyOptions many = one;
   many.min_satellites = 8;
-  const auto avail_one = RunCoverageStudy(Scenario::Starlink(), one)[0].availability;
-  const auto avail_many = RunCoverageStudy(Scenario::Starlink(), many)[0].availability;
+  const auto avail_one = StarlinkCoverage(one)[0].availability;
+  const auto avail_many = StarlinkCoverage(many)[0].availability;
   EXPECT_LE(avail_many, avail_one);
 }
 

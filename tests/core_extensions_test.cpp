@@ -1,9 +1,12 @@
 // Tests for the extension studies: routing policies, handover dynamics,
-// and the network-level GSO exclusion study.
+// the network-level GSO exclusion study, and the failure and outage
+// studies' empty-pair case.
 #include <gtest/gtest.h>
 
+#include "core/failure_study.hpp"
 #include "core/gso_network_study.hpp"
 #include "core/handover_study.hpp"
+#include "core/outage_study.hpp"
 #include "core/routing.hpp"
 #include "data/cities.hpp"
 
@@ -43,7 +46,7 @@ TEST(RoutingPolicyTest, GreedyPolicyMatchesBaseStudy) {
   const auto base = RunThroughputStudy(HybridModel(), pairs, 2, 0.0);
   const auto policy = RunThroughputWithPolicy(HybridModel(), pairs, 2, 0.0,
                                               RoutingPolicy::kDisjointGreedy);
-  EXPECT_NEAR(policy.throughput.total_gbps, base.total_gbps, 1e-6);
+  EXPECT_EQ(policy.throughput.total_gbps, base.total_gbps);
   EXPECT_EQ(policy.throughput.subflows, base.subflows);
 }
 
@@ -168,6 +171,30 @@ TEST(GsoNetworkStudyTest, BpSuffersMoreFromExclusion) {
   // Paper §7: the BP network is hit harder than the hybrid network.
   EXPECT_GE(result.bent_pipe.MeanRttInflationMs(),
             result.hybrid.MeanRttInflationMs() - 1e-9);
+}
+
+// With no pairs, every row reports a reachable fraction and a mean RTT
+// of 0, not the NaN of dividing by the pair count.
+TEST(EmptyPairsTest, FailureAndOutageRowsAreZeroNotNan) {
+  const std::vector<CityPair> none;
+  FailureStudyOptions failure;
+  failure.failure_fractions = {0.0, 0.1};
+  const std::vector<FailureRow> failure_rows =
+      RunFailureStudy(HybridModel(), none, failure);
+  ASSERT_EQ(failure_rows.size(), 2u);
+  for (const FailureRow& row : failure_rows) {
+    EXPECT_EQ(row.reachable_fraction, 0.0) << row.failure_fraction;
+    EXPECT_EQ(row.mean_rtt_ms, 0.0) << row.failure_fraction;
+  }
+  OutageStudyOptions outage;
+  outage.margins_db = {6.0, 2.0};
+  const std::vector<OutageRow> outage_rows =
+      RunOutageStudy(HybridModel(), none, outage);
+  ASSERT_EQ(outage_rows.size(), 2u);
+  for (const OutageRow& row : outage_rows) {
+    EXPECT_EQ(row.reachable_fraction, 0.0) << row.margin_db;
+    EXPECT_EQ(row.mean_rtt_ms, 0.0) << row.margin_db;
+  }
 }
 
 }  // namespace

@@ -2,21 +2,29 @@
 // routing-tier dispatch and the cross-slot tree-reuse cache: all are pure
 // accelerations, so every answer they produce must be *bit-identical* —
 // distances and node chains — to the plain Dijkstra reference, and the
-// end-to-end churn and throughput studies must not change under them
-// (churn at any thread count; throughput against a one-link-per-edge
-// flow network built from public calls).
+// end-to-end studies must not change under them (churn at any thread
+// count; throughput against a one-link-per-edge flow network built from
+// public calls; attenuation, failure, outage and GSO-network against
+// per-pair Dijkstra on the same snapshots).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "core/attenuation_study.hpp"
 #include "core/churn_study.hpp"
+#include "core/failure_study.hpp"
+#include "core/gso_network_study.hpp"
+#include "core/outage_study.hpp"
 #include "core/network_builder.hpp"
 #include "core/routing_tiers.hpp"
 #include "core/temporal_sweep.hpp"
@@ -24,13 +32,16 @@
 #include "core/traffic_matrix.hpp"
 #include "data/cities.hpp"
 #include "data/city_catalog.hpp"
+#include "data/rng.hpp"
 #include "flow/flow_network.hpp"
 #include "flow/maxmin.hpp"
+#include "geo/geodesic.hpp"
 #include "graph/dijkstra.hpp"
 #include "graph/disjoint_paths.hpp"
 #include "graph/landmarks.hpp"
 #include "graph/sssp_tree.hpp"
 #include "graph/tree_reuse.hpp"
+#include "itur/slant_path.hpp"
 
 namespace leosim {
 namespace {
@@ -558,6 +569,265 @@ TEST(LandmarkRouting, ThroughputStudyMatchesOneLinkPerEdgeReference) {
       EXPECT_TRUE(BitEq(got.total_gbps, want.total_gbps))
           << where << ": " << got.total_gbps << " vs " << want.total_gbps;
     }
+  }
+}
+
+// ---- Single-snapshot pair-routing studies vs per-pair Dijkstra ---------
+// The attenuation, failure, outage and GSO-network studies route every
+// pair through RouteSourceGroups. Each reference below routes the same
+// pairs with graph::ShortestPath on the same snapshot and reduces in
+// pair order, so every output must be equal with ==.
+
+constexpr double kUnreachable = std::numeric_limits<double>::infinity();
+
+core::NetworkOptions StudyOptions(core::ConnectivityMode mode) {
+  core::NetworkOptions options;
+  options.mode = mode;
+  options.relay_spacing_deg = 4.0;
+  options.use_aircraft = false;
+  return options;
+}
+
+const core::NetworkModel& StudyModel(core::ConnectivityMode mode) {
+  static const core::NetworkModel bp(core::Scenario::Starlink(),
+                                     StudyOptions(core::ConnectivityMode::kBentPipe),
+                                     data::AnchorCities());
+  static const core::NetworkModel isl(core::Scenario::Starlink(),
+                                      StudyOptions(core::ConnectivityMode::kIslOnly),
+                                      data::AnchorCities());
+  static const core::NetworkModel hybrid(core::Scenario::Starlink(),
+                                         StudyOptions(core::ConnectivityMode::kHybrid),
+                                         data::AnchorCities());
+  switch (mode) {
+    case core::ConnectivityMode::kBentPipe:
+      return bp;
+    case core::ConnectivityMode::kIslOnly:
+      return isl;
+    default:
+      return hybrid;
+  }
+}
+
+std::vector<core::CityPair> StudyPairs() {
+  core::TrafficMatrixOptions traffic;
+  traffic.num_pairs = 40;
+  return core::SampleCityPairs(data::AnchorCities(), traffic);
+}
+
+// Per-pair RTT (twice the Dijkstra distance) on `snap` as it is enabled
+// now, +inf for an unreachable pair.
+std::vector<double> DijkstraRtts(const core::NetworkModel::Snapshot& snap,
+                                 const std::vector<core::CityPair>& pairs) {
+  std::vector<double> rtts;
+  for (const core::CityPair& pair : pairs) {
+    const std::optional<graph::Path> path =
+        graph::ShortestPath(snap.graph, snap.CityNode(pair.a), snap.CityNode(pair.b));
+    rtts.push_back(path.has_value() ? 2.0 * path->distance : kUnreachable);
+  }
+  return rtts;
+}
+
+TEST(PairRoutingStudies, AttenuationMatchesPerPairDijkstra) {
+  const std::vector<core::CityPair> pairs = StudyPairs();
+  const core::AttenuationOptions options;
+  const core::NetworkModel& bp = StudyModel(core::ConnectivityMode::kBentPipe);
+  const core::NetworkModel& isl = StudyModel(core::ConnectivityMode::kIslOnly);
+  const core::AttenuationDistributions got =
+      core::RunAttenuationStudy(bp, isl, pairs, 0.0, options);
+
+  core::AttenuationDistributions want;
+  const auto reference = [&](const core::NetworkModel& model,
+                             std::vector<double>* db, int* unreachable) {
+    const core::NetworkModel::Snapshot snap = model.BuildSnapshot(0.0);
+    for (const core::CityPair& pair : pairs) {
+      const std::optional<graph::Path> path = graph::ShortestPath(
+          snap.graph, snap.CityNode(pair.a), snap.CityNode(pair.b));
+      if (path.has_value()) {
+        db->push_back(core::WorstLinkAttenuationDb(model, snap, *path, options));
+      } else {
+        ++*unreachable;
+      }
+    }
+  };
+  reference(bp, &want.bp_db, &want.bp_unreachable);
+  reference(isl, &want.isl_db, &want.isl_unreachable);
+  EXPECT_FALSE(want.bp_db.empty());
+  EXPECT_EQ(got.bp_db, want.bp_db);
+  EXPECT_EQ(got.isl_db, want.isl_db);
+  EXPECT_EQ(got.bp_unreachable, want.bp_unreachable);
+  EXPECT_EQ(got.isl_unreachable, want.isl_unreachable);
+}
+
+// Satellite failures disable edges before routing: the component
+// precheck and both tiers must see exactly the graph Dijkstra sees.
+TEST(PairRoutingStudies, FailureMatchesPerPairDijkstraWithEdgesDisabled) {
+  const std::vector<core::CityPair> pairs = StudyPairs();
+  const core::NetworkModel& model = StudyModel(core::ConnectivityMode::kBentPipe);
+  core::FailureStudyOptions options;
+  options.failure_fractions = {0.0, 0.1, 0.3};
+  options.trials = 2;
+  const std::vector<core::FailureRow> got = core::RunFailureStudy(model, pairs, options);
+
+  // The study's failure draw, replayed: a partial Fisher-Yates shuffle of
+  // the satellites under the same seed, then every incident edge off.
+  core::NetworkModel::Snapshot snap = model.BuildSnapshot(options.time_sec);
+  data::SplitMix64 rng(options.seed);
+  ASSERT_EQ(got.size(), options.failure_fractions.size());
+  int disabled_trials = 0;
+  for (size_t f = 0; f < got.size(); ++f) {
+    const double fraction = options.failure_fractions[f];
+    const int failures = static_cast<int>(fraction * static_cast<double>(snap.num_sats));
+    const int trials = failures == 0 ? 1 : options.trials;
+    double reachable_sum = 0.0;
+    double rtt_sum = 0.0;
+    int rtt_count = 0;
+    for (int trial = 0; trial < trials; ++trial) {
+      std::vector<int> order(static_cast<size_t>(snap.num_sats));
+      std::iota(order.begin(), order.end(), 0);
+      for (int i = 0; i < failures; ++i) {
+        std::swap(order[static_cast<size_t>(i)],
+                  order[static_cast<size_t>(i + rng.NextInt(snap.num_sats - i))]);
+      }
+      for (int i = 0; i < failures; ++i) {
+        for (const graph::HalfEdge& half :
+             snap.graph.Neighbours(snap.SatNode(order[static_cast<size_t>(i)]))) {
+          snap.graph.SetEnabled(half.edge, false);
+        }
+      }
+      disabled_trials += failures > 0 ? 1 : 0;
+      int reachable = 0;
+      for (const double rtt : DijkstraRtts(snap, pairs)) {
+        if (rtt != kUnreachable) {
+          ++reachable;
+          rtt_sum += rtt;
+          ++rtt_count;
+        }
+      }
+      reachable_sum += static_cast<double>(reachable) / pairs.size();
+      snap.graph.EnableAllEdges();
+    }
+    EXPECT_EQ(got[f].failure_fraction, fraction);
+    EXPECT_EQ(got[f].reachable_fraction, reachable_sum / trials) << fraction;
+    EXPECT_EQ(got[f].mean_rtt_ms, rtt_count > 0 ? rtt_sum / rtt_count : 0.0)
+        << fraction;
+  }
+  EXPECT_GT(disabled_trials, 0);
+}
+
+// Weather outages disable every radio link whose worst-direction
+// attenuation exceeds the margin, then route.
+TEST(PairRoutingStudies, OutageMatchesPerPairDijkstraWithEdgesDisabled) {
+  const std::vector<core::CityPair> pairs = StudyPairs();
+  const core::NetworkModel& model = StudyModel(core::ConnectivityMode::kBentPipe);
+  core::OutageStudyOptions options;
+  options.margins_db = {10.0, 3.0, 1.0};
+  const std::vector<core::OutageRow> got = core::RunOutageStudy(model, pairs, options);
+
+  core::NetworkModel::Snapshot snap = model.BuildSnapshot(options.time_sec);
+  const link::RadioConfig& radio = model.scenario().radio;
+  std::vector<double> attenuation;
+  for (const graph::EdgeId e : snap.radio_edges) {
+    const graph::EdgeRecord& rec = snap.graph.Edge(e);
+    const graph::NodeId ground = snap.IsSat(rec.a) ? rec.b : rec.a;
+    const graph::NodeId sat = snap.IsSat(rec.a) ? rec.a : rec.b;
+    const double elevation =
+        geo::ElevationAngleDeg(snap.node_ecef[static_cast<size_t>(ground)],
+                               snap.node_ecef[static_cast<size_t>(sat)]);
+    itur::SlantPathConfig config;
+    config.antenna_diameter_m = options.attenuation.antenna_diameter_m;
+    config.antenna_efficiency = options.attenuation.antenna_efficiency;
+    double worst = 0.0;
+    for (const double freq : {radio.uplink_freq_ghz, radio.downlink_freq_ghz}) {
+      config.frequency_ghz = freq;
+      worst = std::max(worst, itur::SlantPathAttenuationDb(
+                                  model.GroundNodeCoord(snap, ground), elevation,
+                                  config, options.exceedance_pct));
+    }
+    attenuation.push_back(worst);
+  }
+
+  ASSERT_EQ(got.size(), options.margins_db.size());
+  int disabled_margins = 0;
+  for (size_t m = 0; m < got.size(); ++m) {
+    int disabled = 0;
+    for (size_t i = 0; i < snap.radio_edges.size(); ++i) {
+      const bool dead = attenuation[i] > options.margins_db[m];
+      snap.graph.SetEnabled(snap.radio_edges[i], !dead);
+      disabled += dead ? 1 : 0;
+    }
+    disabled_margins += disabled > 0 ? 1 : 0;
+    int reachable = 0;
+    double rtt_sum = 0.0;
+    for (const double rtt : DijkstraRtts(snap, pairs)) {
+      if (rtt != kUnreachable) {
+        ++reachable;
+        rtt_sum += rtt;
+      }
+    }
+    EXPECT_EQ(got[m].links_disabled_fraction,
+              static_cast<double>(disabled) / snap.radio_edges.size());
+    EXPECT_EQ(got[m].reachable_fraction,
+              static_cast<double>(reachable) / pairs.size());
+    EXPECT_EQ(got[m].mean_rtt_ms, reachable > 0 ? rtt_sum / reachable : 0.0);
+  }
+  EXPECT_GT(disabled_margins, 0);
+}
+
+TEST(PairRoutingStudies, GsoNetworkMatchesPerPairDijkstra) {
+  const std::vector<data::City>& cities = data::AnchorCities();
+  core::TrafficMatrixOptions traffic;
+  traffic.num_pairs = 120;
+  std::vector<core::CityPair> pairs =
+      core::CrossHemispherePairs(cities, core::SampleCityPairs(cities, traffic));
+  pairs.resize(std::min<size_t>(pairs.size(), 16));
+  ASSERT_FALSE(pairs.empty());
+  const core::GsoNetworkOptions gso;
+  const core::NetworkOptions base = StudyOptions(core::ConnectivityMode::kBentPipe);
+  const core::GsoNetworkResult got =
+      core::RunGsoNetworkStudy(core::Scenario::Starlink(), cities, pairs, base, gso);
+
+  const auto reference = [&](core::ConnectivityMode mode) {
+    core::NetworkOptions options = base;
+    options.mode = mode;
+    const core::NetworkModel plain(core::Scenario::Starlink(), options, cities);
+    options.apply_gso_exclusion = true;
+    options.gso_separation_deg = gso.separation_deg;
+    const core::NetworkModel excluded(core::Scenario::Starlink(), options, cities);
+    const std::vector<double> without = DijkstraRtts(plain.BuildSnapshot(gso.time_sec), pairs);
+    const std::vector<double> with = DijkstraRtts(excluded.BuildSnapshot(gso.time_sec), pairs);
+    core::GsoModeImpact impact;
+    impact.pairs = static_cast<int>(pairs.size());
+    double without_sum = 0.0;
+    double with_sum = 0.0;
+    int both = 0;
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      impact.reachable_without_exclusion += without[i] != kUnreachable ? 1 : 0;
+      impact.reachable_with_exclusion += with[i] != kUnreachable ? 1 : 0;
+      if (without[i] != kUnreachable && with[i] != kUnreachable) {
+        without_sum += without[i];
+        with_sum += with[i];
+        ++both;
+      }
+    }
+    if (both > 0) {
+      impact.mean_rtt_without_ms = without_sum / both;
+      impact.mean_rtt_with_ms = with_sum / both;
+    }
+    return impact;
+  };
+  for (const core::ConnectivityMode mode :
+       {core::ConnectivityMode::kBentPipe, core::ConnectivityMode::kHybrid}) {
+    const core::GsoModeImpact& impact =
+        mode == core::ConnectivityMode::kBentPipe ? got.bent_pipe : got.hybrid;
+    const core::GsoModeImpact want = reference(mode);
+    const std::string where = mode == core::ConnectivityMode::kBentPipe ? "bp" : "hybrid";
+    EXPECT_GT(want.reachable_without_exclusion, 0) << where;
+    EXPECT_EQ(impact.pairs, want.pairs) << where;
+    EXPECT_EQ(impact.reachable_without_exclusion, want.reachable_without_exclusion)
+        << where;
+    EXPECT_EQ(impact.reachable_with_exclusion, want.reachable_with_exclusion) << where;
+    EXPECT_EQ(impact.mean_rtt_without_ms, want.mean_rtt_without_ms) << where;
+    EXPECT_EQ(impact.mean_rtt_with_ms, want.mean_rtt_with_ms) << where;
   }
 }
 

@@ -50,11 +50,16 @@ Rules (each maps to a repo invariant documented in DESIGN.md):
                    reallocating per slot.
   tier-dispatch   No routing-tier mechanics in study drivers
                    (src/core/*_study.cpp): ConnectedComponentsInto,
-                   ShortestPathAStar, kTreeBatchThreshold, tree.Build
-                   and tree_cache.Route belong to RouteSourceGroups
-                   (src/core/routing_tiers.hpp), the one dispatch every
-                   pair-routing study calls, so per-study copies of the
-                   policy cannot grow back and drift apart.
+                   ShortestPathAStar, kTreeBatchThreshold, tree.Build,
+                   tree_cache.Route and a local DijkstraWorkspace belong
+                   to RouteSourceGroups (src/core/routing_tiers.hpp),
+                   the one dispatch every pair-routing study calls. Nor
+                   may a study driver or cli/*.cpp name FlowNetwork or
+                   call KEdgeDisjointShortestPaths, except
+                   throughput_study.cpp: routed paths become max-min
+                   flows through its FlowNetworkBuilder. Per-study copies
+                   of the routing or of the flow network cannot grow
+                   back and drift apart.
   layering        The module DAG under src/ (LAYER_DEPS below) is
                    enforced on the #include graph: e.g. geo/obs include
                    nothing above them, graph never includes core, core
@@ -427,25 +432,39 @@ def check_snapshot_workspace(ctx: LintContext) -> list[Finding]:
 
 # ---------------------------------------------------------------------------
 # tier-dispatch: the component precheck, tree batching and A* tiers live
-# only in RouteSourceGroups (src/core/routing_tiers.hpp).
+# only in RouteSourceGroups (src/core/routing_tiers.hpp), and routed paths
+# become a flow network only in src/core/throughput_study.cpp.
 
 TIER_DISPATCH_RE = re.compile(
     r"\b(?:ConnectedComponentsInto|ShortestPathAStar|kTreeBatchThreshold)\b"
     r"|\btree\s*(?:\.|->)\s*Build\s*\(|\btree_cache\s*(?:\.|->)\s*Route\s*\("
+    r"|\bDijkstraWorkspace\s+\w+"
 )
+FLOW_NETWORK_RE = re.compile(r"\bFlowNetwork\b|\bKEdgeDisjointShortestPaths\s*\(")
+FLOW_NETWORK_HOME = "src/core/throughput_study.cpp"
 
 
 def check_tier_dispatch(ctx: LintContext) -> list[Finding]:
     findings = []
-    for rel in ctx.files("src/core/", pattern=r"src/core/\w+_study\.cpp"):
+    studies = ctx.files("src/core/", pattern=r"src/core/\w+_study\.cpp")
+    for rel in studies + ctx.files("cli/", suffixes=(".cpp",)):
+        is_study = rel.startswith("src/core/")
         for lineno, line in enumerate(ctx.stripped(rel).splitlines(), start=1):
-            m = TIER_DISPATCH_RE.search(line)
+            m = TIER_DISPATCH_RE.search(line) if is_study else None
             if m:
                 findings.append(Finding(
                     rel, lineno, "tier-dispatch",
                     f"routing-tier mechanics (`{m.group(0).rstrip('(').strip()}`) "
                     "in a study driver; route pairs through RouteSourceGroups "
                     "(src/core/routing_tiers.hpp)"))
+            m = FLOW_NETWORK_RE.search(line) if rel != FLOW_NETWORK_HOME else None
+            if m:
+                findings.append(Finding(
+                    rel, lineno, "tier-dispatch",
+                    f"`{m.group(0).rstrip('(').strip()}` outside "
+                    f"{FLOW_NETWORK_HOME}; route pairs through RoutePairPaths "
+                    "(src/core/routing_tiers.hpp) and build the max-min network "
+                    "with FlowNetworkBuilder (src/core/throughput_study.hpp)"))
     return findings
 
 
@@ -936,7 +955,8 @@ RULES: list[Rule] = [
          "study drivers use the workspace BuildSnapshot overload",
          check_snapshot_workspace),
     Rule("tier-dispatch",
-         "study drivers route pairs through RouteSourceGroups only",
+         "study drivers route pairs through RouteSourceGroups and "
+         "FlowNetworkBuilder only",
          check_tier_dispatch),
     Rule("layering",
          "the src/ include graph respects the declared layer DAG",

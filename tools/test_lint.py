@@ -133,6 +133,22 @@ def test_unchecked_number_parse_scope() -> None:
     print("ok: unchecked-number-parse scope (cli/bench/examples only)")
 
 
+def test_tier_dispatch_scope() -> None:
+    # A local DijkstraWorkspace in a study driver, and a FlowNetwork or
+    # KEdgeDisjointShortestPaths call in cli/, each trigger on their own
+    # line; the ok/ tree keeps both in throughput_study.cpp, their home.
+    hits = run_rule("tier-dispatch", FIXTURES / "tier-dispatch" / "trigger")
+    got = sorted((f.path, f.line) for f in hits)
+    for want in [("src/core/failure_study.cpp", 6),
+                 ("cli/extension_studies.cpp", 8),
+                 ("cli/extension_studies.cpp", 12)]:
+        check(want in got, f"tier-dispatch: expected a finding at {want}, got {got}")
+    ok = FIXTURES / "tier-dispatch" / "ok"
+    check((ok / "src" / "core" / "throughput_study.cpp").is_file(),
+          "tier-dispatch: ok fixture lost the flow network's home file")
+    print("ok: tier-dispatch scope (study workspaces, cli flow networks)")
+
+
 def test_fingerprint_line_independence() -> None:
     a = leosim_lint.Finding("src/x.cpp", 10, "raw-mutex", "same message")
     b = leosim_lint.Finding("src/x.cpp", 99, "raw-mutex", "same message")
@@ -232,6 +248,7 @@ def main() -> int:
     test_layering_acceptance_fixture()
     test_json_number_scope()
     test_unchecked_number_parse_scope()
+    test_tier_dispatch_scope()
     test_fingerprint_line_independence()
     test_baseline_roundtrip()
     test_lint_sarif_valid()
