@@ -308,16 +308,15 @@ int main(int argc, char** argv) {
   {
     const std::vector<geo::Vec3> sats =
         hybrid.constellation().PositionsEcef(0.0);
-    const double coverage =
-        geo::CoverageRadiusKm(scenario.shell.altitude_km,
-                              scenario.radio.min_elevation_deg);
+    const double radius_km = link::IndexSearchRadiusKm(
+        scenario.shell.altitude_km, scenario.radio.min_elevation_deg);
     suite.Run("index_build", 7, 4, [&] {
       for (int i = 0; i < 4; ++i) {
-        const link::SatelliteIndex index(sats, coverage + 100.0);
+        const link::SatelliteIndex index(sats, radius_km);
         (void)index;
       }
     });
-    const link::SatelliteIndex index(sats, coverage + 100.0);
+    const link::SatelliteIndex index(sats, radius_km);
     std::vector<geo::Vec3> terminals;
     terminals.reserve(cities.size());
     for (const data::City& c : cities) {

@@ -137,11 +137,7 @@ int RunExtCoverage(const StudyConfig& /*config*/) {
 // Extension: resilience to satellite failures. Disables random satellite
 // subsets and compares how BP and hybrid connectivity degrade — ISL path
 // diversity absorbs hardware loss the same way it absorbs weather.
-int RunExtFailures(const StudyConfig& flags) {
-  StudyConfig config = flags;
-  if (config.num_pairs > 200) {
-    config.num_pairs = 200;
-  }
+int RunExtFailures(const StudyConfig& config) {
   PrintConfig(config, "Extension: satellite-failure resilience (Starlink)");
 
   const std::vector<data::City> cities = MakeCities(config);
@@ -180,11 +176,7 @@ int RunExtFailures(const StudyConfig& flags) {
 // bench uses the temporal floodns semantics (flow/temporal.hpp) to show
 // what that means for actual transfers: a workload of file transfers
 // between city pairs, each completing when its volume drains.
-int RunExtFlowCompletion(const StudyConfig& flags) {
-  StudyConfig config = flags;
-  if (config.num_pairs > 300) {
-    config.num_pairs = 300;
-  }
+int RunExtFlowCompletion(const StudyConfig& config) {
   PrintConfig(config, "Extension: flow completion times (Starlink, temporal floodns)");
 
   const std::vector<data::City> cities = MakeCities(config);
@@ -230,11 +222,7 @@ int RunExtFlowCompletion(const StudyConfig& flags) {
 // Gravity sampling (endpoints drawn population-proportionally) loads the
 // network unevenly — and BP suffers more from it, because hot metros
 // contend for the same GT-satellite cones while ISLs spread load in space.
-int RunExtGravityMatrix(const StudyConfig& flags) {
-  StudyConfig config = flags;
-  if (config.num_pairs > 400) {
-    config.num_pairs = 400;
-  }
+int RunExtGravityMatrix(const StudyConfig& config) {
   PrintConfig(config, "Extension: uniform vs gravity traffic matrix");
 
   const std::vector<data::City> cities = MakeCities(config);
@@ -273,11 +261,7 @@ int RunExtGravityMatrix(const StudyConfig& flags) {
 // reduced field of view hits BP much harder than hybrid because
 // cross-hemisphere BP traffic must bounce through equatorial GTs; Fig. 9
 // only shows the geometry — this measures the end-to-end effect).
-int RunExtGsoNetwork(const StudyConfig& flags) {
-  StudyConfig config = flags;
-  if (config.num_pairs > 300) {
-    config.num_pairs = 300;  // 4 model builds with per-link GSO checks
-  }
+int RunExtGsoNetwork(const StudyConfig& config) {
   PrintConfig(config, "Extension: GSO exclusion, network level");
 
   const std::vector<data::City> cities = MakeCities(config);
@@ -352,11 +336,7 @@ int RunExtHandover(const StudyConfig& /*config*/) {
 // variation; this bench shows the routing churn underneath it: how often
 // the shortest path changes between snapshots, how much of it survives
 // (Jaccard similarity of consecutive node sets), and the RTT jitter.
-int RunExtRouteChurn(const StudyConfig& flags) {
-  StudyConfig config = flags;
-  if (config.num_pairs > 150) {
-    config.num_pairs = 150;
-  }
+int RunExtRouteChurn(const StudyConfig& config) {
   PrintConfig(config, "Extension: route churn, BP vs hybrid (Starlink)");
 
   const std::vector<data::City> cities = MakeCities(config);
@@ -404,9 +384,6 @@ int RunExtRouteChurn(const StudyConfig& flags) {
 // that BP throughput fluctuates with aircraft availability).
 int RunExtThroughputStability(const StudyConfig& flags) {
   StudyConfig config = flags;
-  if (config.num_pairs > 300) {
-    config.num_pairs = 300;
-  }
   if (config.num_snapshots > 8) {
     config.num_snapshots = 8;
   }
@@ -467,11 +444,7 @@ int RunExtThroughputStability(const StudyConfig& flags) {
 // attenuation exceeds M at the target availability. Sweeping M shows how
 // the BP network shatters (every zig-zag bounce is a chance to hit a wet
 // cell) while the hybrid network only needs its two endpoint links up.
-int RunExtWeatherOutage(const StudyConfig& flags) {
-  StudyConfig config = flags;
-  if (config.num_pairs > 250) {
-    config.num_pairs = 250;
-  }
+int RunExtWeatherOutage(const StudyConfig& config) {
   PrintConfig(config, "Extension: weather outages vs fade margin (Starlink)");
 
   const std::vector<data::City> cities = MakeCities(config);
@@ -513,11 +486,7 @@ int RunExtWeatherOutage(const StudyConfig& flags) {
 // proportional to sqrt(popA * popB) (a standard gravity-model demand
 // proxy) using the weighted allocator, and contrasts the rate
 // distributions.
-int RunExtWeightedDemand(const StudyConfig& flags) {
-  StudyConfig config = flags;
-  if (config.num_pairs > 400) {
-    config.num_pairs = 400;
-  }
+int RunExtWeightedDemand(const StudyConfig& config) {
   PrintConfig(config, "Extension: population-weighted max-min fairness");
 
   const std::vector<data::City> cities = MakeCities(config);
@@ -598,11 +567,7 @@ int RunExtWeightedDemand(const StudyConfig& flags) {
 // how BP degrades faster than hybrid: BP needs many simultaneous GT links
 // per satellite for its zig-zag transit, while hybrid only touches the
 // ground at the endpoints.
-int RunAblationBeams(const StudyConfig& flags) {
-  StudyConfig config = flags;
-  if (config.num_pairs > 300) {
-    config.num_pairs = 300;
-  }
+int RunAblationBeams(const StudyConfig& config) {
   PrintConfig(config, "Ablation: per-satellite beam budget (Starlink, k=1)");
 
   const std::vector<data::City> cities = MakeCities(config);
@@ -641,11 +606,7 @@ int RunAblationBeams(const StudyConfig& flags) {
 // even higher for Ka-band communication, which is affected more by
 // weather"). Re-runs the Fig. 6 experiment with Ka-band gateway
 // frequencies (28.5 GHz up / 18.7 GHz down) next to the Ku baseline.
-int RunAblationKaband(const StudyConfig& flags) {
-  StudyConfig config = flags;
-  if (config.num_pairs > 250) {
-    config.num_pairs = 250;
-  }
+int RunAblationKaband(const StudyConfig& config) {
   PrintConfig(config, "Ablation: Ku vs Ka band attenuation gap");
 
   const std::vector<data::City> cities = MakeCities(config);
@@ -697,12 +658,7 @@ int RunAblationKaband(const StudyConfig& flags) {
 // at the cost of increased latency". This bench quantifies that trade-off
 // on the hybrid Starlink network, and also compares the greedy disjoint
 // pair against the Suurballe/Bhandari optimal pair (DESIGN.md §5).
-int RunAblationRouting(const StudyConfig& flags) {
-  StudyConfig config = flags;
-  // Yen-based policies are costlier per pair; trim the default matrix.
-  if (config.num_pairs > 200) {
-    config.num_pairs = 200;
-  }
+int RunAblationRouting(const StudyConfig& config) {
   PrintConfig(config, "Ablation: routing policies (Starlink hybrid, k=2)");
 
   const std::vector<data::City> cities = MakeCities(config);
@@ -739,11 +695,7 @@ int RunAblationRouting(const StudyConfig& flags) {
 // studies) pools each link into one shared resource, which is pessimistic
 // whenever opposite-direction flows share a link. This bench quantifies
 // the difference and shows it does not change who wins.
-int RunAblationUpdown(const StudyConfig& flags) {
-  StudyConfig config = flags;
-  if (config.num_pairs > 400) {
-    config.num_pairs = 400;
-  }
+int RunAblationUpdown(const StudyConfig& config) {
   PrintConfig(config, "Ablation: shared vs per-direction link capacities");
 
   const std::vector<data::City> cities = MakeCities(config);

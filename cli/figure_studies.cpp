@@ -8,6 +8,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/attenuation_study.hpp"
@@ -17,10 +18,10 @@
 #include "core/latency_study.hpp"
 #include "core/multishell_study.hpp"
 #include "core/report.hpp"
+#include "core/routing_tiers.hpp"
 #include "core/stats.hpp"
 #include "core/throughput_study.hpp"
 #include "data/cities.hpp"
-#include "graph/dijkstra.hpp"
 #include "itur/slant_path.hpp"
 
 namespace leosim::cli {
@@ -89,10 +90,9 @@ int RunLatency(const StudyConfig& config) {
               result.snapshot_times.size());
   std::printf("  bent-pipe mean min-RTT: %7.1f ms\n", mean_min_rtt(result.bp));
   std::printf("  hybrid    mean min-RTT: %7.1f ms\n", mean_min_rtt(result.hybrid));
-  std::printf("  routed %llu pair-snapshots, %llu unreachable, %.2f s\n",
+  std::printf("  routed %llu pair-snapshots, %llu unreachable\n",
               static_cast<unsigned long long>(summary.pairs_routed),
-              static_cast<unsigned long long>(summary.pairs_unreachable),
-              summary.wall_seconds);
+              static_cast<unsigned long long>(summary.pairs_unreachable));
   if (!config.manifest_out.empty()) {
     if (!report.WriteManifest(config.manifest_out)) {
       std::printf("cannot write %s\n", config.manifest_out.c_str());
@@ -419,19 +419,20 @@ int RunFig8DelhiSydney(const StudyConfig& config) {
                          cities);
 
   // Fig. 7: dump the BP path's intermediate hops at one instant.
-  const NetworkModel::Snapshot snap = bp.BuildSnapshot(0.0);
-  const int delhi = data::CityIndexByName(cities, "Delhi");
-  const int sydney = data::CityIndexByName(cities, "Sydney");
-  const auto path =
-      graph::ShortestPath(snap.graph, snap.CityNode(delhi), snap.CityNode(sydney));
+  SweepWorkspace ws;
+  const NetworkModel::Snapshot& snap = bp.BuildSnapshot(0.0, &ws.snapshot);
+  const std::vector<CityPair> pair = {{data::CityIndexByName(cities, "Delhi"),
+                                       data::CityIndexByName(cities, "Sydney")}};
+  const graph::Path path =
+      std::move(RoutePairPaths(snap, pair, GroupPairsBySource(pair), ws)[0]);
   PrintBanner(std::cout, "Fig. 7: BP path hops at t=0 (paper shows 2 aircraft + 4 GTs)");
-  if (path.has_value()) {
+  if (!path.nodes.empty()) {
     int aircraft = 0;
     int relays = 0;
     int transit_cities = 0;
     Table hops({"hop", "kind", "lat (deg)", "lon (deg)"});
-    for (size_t i = 0; i < path->nodes.size(); ++i) {
-      const graph::NodeId n = path->nodes[i];
+    for (size_t i = 0; i < path.nodes.size(); ++i) {
+      const graph::NodeId n = path.nodes[i];
       const geo::GeodeticCoord g =
           geo::EcefToGeodetic(snap.node_ecef[static_cast<size_t>(n)]);
       const char* kind = "city GT";
@@ -443,7 +444,7 @@ int RunFig8DelhiSydney(const StudyConfig& config) {
       } else if (snap.IsRelay(n)) {
         kind = "relay GT";
         ++relays;
-      } else if (i != 0 && i + 1 != path->nodes.size()) {
+      } else if (i != 0 && i + 1 != path.nodes.size()) {
         ++transit_cities;
       }
       hops.AddRow({std::to_string(i), kind, FormatDouble(g.latitude_deg, 1),

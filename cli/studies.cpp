@@ -6,7 +6,7 @@ namespace {
 
 constexpr Study kStudies[] = {
     {"latency", "BP vs hybrid mean min-RTT over a short schedule", RunLatency,
-     LatencyDefaults},
+     0, LatencyDefaults},
     {"fig2_latency", "Fig. 2: min-RTT and RTT-variation CDFs, BP vs hybrid",
      RunFig2Latency},
     {"fig3_path_churn", "Fig. 3: Maceio<->Durban BP path churn", RunFig3PathChurn},
@@ -25,26 +25,29 @@ constexpr Study kStudies[] = {
     {"fig11_fiber_augmentation", "Fig. 11: Paris fiber-augmented connectivity",
      RunFig11FiberAugmentation},
     {"ext_coverage", "coverage and availability by latitude", RunExtCoverage},
-    {"ext_failures", "satellite-failure resilience", RunExtFailures},
+    {"ext_failures", "satellite-failure resilience", RunExtFailures, 200},
     {"ext_flow_completion", "flow completion times of finite transfers",
-     RunExtFlowCompletion},
+     RunExtFlowCompletion, 300},
     {"ext_gravity_matrix", "uniform vs gravity traffic matrix",
-     RunExtGravityMatrix},
-    {"ext_gso_network", "GSO exclusion at network level", RunExtGsoNetwork},
+     RunExtGravityMatrix, 400},
+    // 4 model builds with per-link GSO checks.
+    {"ext_gso_network", "GSO exclusion at network level", RunExtGsoNetwork, 300},
     {"ext_handover", "GT-satellite pass durations and handover rates",
      RunExtHandover},
-    {"ext_route_churn", "route churn, BP vs hybrid", RunExtRouteChurn},
+    {"ext_route_churn", "route churn, BP vs hybrid", RunExtRouteChurn, 150},
     {"ext_throughput_stability", "throughput stability over time",
-     RunExtThroughputStability},
-    {"ext_weather_outage", "weather outages vs fade margin", RunExtWeatherOutage},
+     RunExtThroughputStability, 300},
+    {"ext_weather_outage", "weather outages vs fade margin", RunExtWeatherOutage,
+     250},
     {"ext_weighted_demand", "population-weighted max-min fairness",
-     RunExtWeightedDemand},
-    {"ablation_beams", "per-satellite beam budget", RunAblationBeams},
-    {"ablation_kaband", "Ku vs Ka band attenuation gap", RunAblationKaband},
+     RunExtWeightedDemand, 400},
+    {"ablation_beams", "per-satellite beam budget", RunAblationBeams, 300},
+    {"ablation_kaband", "Ku vs Ka band attenuation gap", RunAblationKaband, 250},
+    // Yen-based policies are costlier per pair.
     {"ablation_routing", "routing policies on the hybrid network",
-     RunAblationRouting},
+     RunAblationRouting, 200},
     {"ablation_updown", "shared vs per-direction link capacities",
-     RunAblationUpdown},
+     RunAblationUpdown, 400},
 };
 
 }  // namespace

@@ -20,6 +20,9 @@ struct Study {
   const char* name;
   const char* summary;
   int (*run)(const StudyConfig& config);
+  // Upper bound on --pairs, applied before `run` (0: none), for studies
+  // whose per-pair cost would make the default matrix slow.
+  int max_pairs = 0;
   // Flag defaults, when they differ from StudyConfig's paper-scaled ones.
   StudyConfig (*defaults)() = nullptr;
 };

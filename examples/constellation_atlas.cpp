@@ -60,8 +60,7 @@ int Run(int argc, char** argv) {
 
   PrintBanner(std::cout, "visible satellites by terminal latitude (t=0)");
   const auto sats = constellation.PositionsEcef(0.0);
-  const link::SatelliteIndex index(
-      sats, geo::CoverageRadiusKm(shell.altitude_km, e) + 100.0);
+  const link::SatelliteIndex index(sats, link::IndexSearchRadiusKm(shell.altitude_km, e));
   Table table({"latitude (deg)", "visible satellites"});
   for (double lat = 0.0; lat <= 70.0; lat += 10.0) {
     const auto visible = index.Visible(geo::GeodeticToEcef({lat, 10.0, 0.0}), e);

@@ -13,6 +13,7 @@
 // Flags (cli/flags.hpp) may appear in any position; the observability
 // ones apply to every command. A malformed flag or argument exits 2, a
 // library error (e.g. an out-of-range ITU-R frequency) exits 1.
+#include <algorithm>
 #include <cstdio>
 #include <exception>
 #include <optional>
@@ -107,9 +108,8 @@ int CmdVisible(const std::string& name) {
   const auto constellation = orbit::Constellation::WalkerDelta(scenario.shell);
   const auto sats = constellation.PositionsEcef(0.0);
   const link::SatelliteIndex index(
-      sats, geo::CoverageRadiusKm(scenario.shell.altitude_km,
-                                  scenario.radio.min_elevation_deg) +
-                100.0);
+      sats, link::IndexSearchRadiusKm(scenario.shell.altitude_km,
+                                      scenario.radio.min_elevation_deg));
   const geo::Vec3 gt = geo::GeodeticToEcef(city.Coord());
   const auto visible = index.Visible(gt, scenario.radio.min_elevation_deg);
   std::printf("%s sees %zu Starlink satellites (e >= %.0f deg):\n", name.c_str(),
@@ -289,6 +289,9 @@ int Run(const std::vector<std::string>& args) {
     }
     rc = 0;
   } else if (study != nullptr) {
+    if (study->max_pairs > 0) {
+      config.num_pairs = std::min(config.num_pairs, study->max_pairs);
+    }
     rc = study->run(config);
   } else if (command == "trace" && words.size() == 1) {
     rc = CmdTrace(config);

@@ -23,6 +23,13 @@ struct AttenuationOptions {
   double antenna_efficiency{0.5};
 };
 
+// ITU-R slant-path attenuation (dB) of the radio link between ground
+// node `ground` and satellite `sat` of `snap` at `frequency_ghz`.
+double RadioLinkAttenuationDb(const NetworkModel& model,
+                              const NetworkModel::Snapshot& snap, graph::NodeId ground,
+                              graph::NodeId sat, double frequency_ghz,
+                              const AttenuationOptions& options);
+
 // Worst radio-link attenuation (dB) along `path` in `snap`, at the given
 // exceedance probability. Returns 0 for a path with no radio links.
 double WorstLinkAttenuationDb(const NetworkModel& model,

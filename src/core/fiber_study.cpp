@@ -3,8 +3,8 @@
 #include <set>
 
 #include "core/report.hpp"
+#include "core/temporal_sweep.hpp"
 #include "geo/geodesic.hpp"
-#include "link/visibility.hpp"
 
 namespace leosim::core {
 
@@ -18,33 +18,24 @@ FiberStudyResult RunFiberStudy(const Scenario& scenario,
 
   orbit::Constellation constellation;
   constellation.AddShell(scenario.shell);
-  const double coverage = geo::CoverageRadiusKm(scenario.shell.altitude_km,
-                                                scenario.radio.min_elevation_deg);
 
   // Per-snapshot visibility, metro first then members.
   std::vector<const data::City*> sites{&group.metro};
+  std::vector<geo::Vec3> site_ecef{geo::GeodeticToEcef(group.metro.Coord())};
   for (const data::City& c : group.satellites_cities) {
     sites.push_back(&c);
+    site_ecef.push_back(geo::GeodeticToEcef(c.Coord()));
   }
-  std::vector<double> visible_sum(sites.size(), 0.0);
-  double metro_distinct_sum = 0.0;
-  double group_distinct_sum = 0.0;
   const std::vector<double> times = schedule.Times();
-  std::vector<geo::Vec3> sats;
-  link::SatelliteIndex index;
-  std::vector<int> visible;
-  for (const double t : times) {
-    constellation.PositionsEcefInto(t, &sats);
-    index.Rebuild(sats, coverage + 100.0);
+  std::vector<double> visible_sum(sites.size(), 0.0);
+  double group_distinct_sum = 0.0;
+  for (const std::vector<std::vector<int>>& visible :
+       SampleVisibility("fiber", constellation, scenario.radio.min_elevation_deg,
+                        site_ecef, times)) {
     std::set<int> group_sats;
     for (size_t i = 0; i < sites.size(); ++i) {
-      index.VisibleInto(geo::GeodeticToEcef(sites[i]->Coord()),
-                        scenario.radio.min_elevation_deg, &visible);
-      visible_sum[i] += static_cast<double>(visible.size());
-      if (i == 0) {
-        metro_distinct_sum += static_cast<double>(visible.size());
-      }
-      group_sats.insert(visible.begin(), visible.end());
+      visible_sum[i] += static_cast<double>(visible[i].size());
+      group_sats.insert(visible[i].begin(), visible[i].end());
     }
     group_distinct_sum += static_cast<double>(group_sats.size());
   }
@@ -62,7 +53,7 @@ FiberStudyResult RunFiberStudy(const Scenario& scenario,
         geo::GreatCircleDistanceKm(group.metro.Coord(), sites[i]->Coord()));
     result.members.push_back(stats);
   }
-  result.metro_mean_distinct_sats = metro_distinct_sum / n;
+  result.metro_mean_distinct_sats = visible_sum[0] / n;
   result.group_mean_distinct_sats = group_distinct_sum / n;
   result.metro_capacity_gbps =
       result.metro_mean_distinct_sats * scenario.radio.capacity_gbps;

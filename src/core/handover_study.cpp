@@ -7,8 +7,7 @@
 
 #include "core/net_trace.hpp"
 #include "core/report.hpp"
-#include "geo/geodesic.hpp"
-#include "link/visibility.hpp"
+#include "core/temporal_sweep.hpp"
 #include "orbit/walker.hpp"
 
 namespace leosim::core {
@@ -19,44 +18,37 @@ HandoverStats RunHandoverStudy(const Scenario& scenario,
   const StudyTimer timer;
   const orbit::Constellation constellation =
       orbit::Constellation::WalkerDelta(scenario.shell);
-  const geo::Vec3 gt = geo::GeodeticToEcef(terminal);
-  const double coverage = geo::CoverageRadiusKm(scenario.shell.altitude_km,
-                                                scenario.radio.min_elevation_deg);
+  std::vector<double> times;
+  for (int i = 0; i * options.step_sec <= options.duration_sec; ++i) {
+    times.push_back(i * options.step_sec);
+  }
+  const std::vector<std::vector<std::vector<int>>> visible_at =
+      SampleVisibility("handover", constellation, scenario.radio.min_elevation_deg,
+                       {geo::GeodeticToEcef(terminal)}, times);
 
   // Track per-satellite visibility intervals over the sampled window.
   std::map<int, double> pass_start;  // satellite -> time it rose
   std::vector<double> completed_durations;
   int visible_sum = 0;
-  int samples = 0;
   int outage_samples = 0;
   int endings = 0;
 
   // This study samples visibility directly (no snapshots), so any trace
   // it leaves is event-only: handover events per slot, no netstate
-  // keyframes. The timeline matches the sampling loop below exactly.
+  // keyframes.
   NetTraceRecorder& net_trace = NetTraceRecorder::Global();
   if (net_trace.Enabled()) {
-    std::vector<double> times;
-    for (double t = 0.0; t <= options.duration_sec; t += options.step_sec) {
-      times.push_back(t);
-    }
     net_trace.SetTimeline(times);
   }
 
-  std::vector<int> previous;
-  std::vector<geo::Vec3> sats;
-  link::SatelliteIndex index;
-  std::vector<int> visible;
+  const std::vector<int> none;
   std::vector<int32_t> gained;
   std::vector<int32_t> lost;
-  int slot = 0;
-  for (double t = 0.0; t <= options.duration_sec; t += options.step_sec) {
-    constellation.PositionsEcefInto(t, &sats);
-    index.Rebuild(sats, coverage + 100.0);
-    index.VisibleInto(gt, scenario.radio.min_elevation_deg, &visible);
-
+  for (size_t slot = 0; slot < times.size(); ++slot) {
+    const double t = times[slot];
+    const std::vector<int>& visible = visible_at[slot][0];
+    const std::vector<int>& previous = slot == 0 ? none : visible_at[slot - 1][0];
     visible_sum += static_cast<int>(visible.size());
-    ++samples;
     if (visible.empty()) {
       ++outage_samples;
     }
@@ -83,10 +75,8 @@ HandoverStats RunHandoverStudy(const Scenario& scenario,
       }
     }
     if (net_trace.Enabled() && (!lost.empty() || !gained.empty())) {
-      net_trace.AddHandover(slot, lost, gained);
+      net_trace.AddHandover(static_cast<int>(slot), lost, gained);
     }
-    previous = visible;
-    ++slot;
   }
 
   HandoverStats stats;
@@ -104,12 +94,12 @@ HandoverStats RunHandoverStudy(const Scenario& scenario,
     stats.max_pass_duration_sec = max;
     stats.min_pass_duration_sec = min;
   }
-  stats.mean_visible_sats = static_cast<double>(visible_sum) / samples;
+  stats.mean_visible_sats = static_cast<double>(visible_sum) / times.size();
   stats.pass_endings_per_hour = endings / (options.duration_sec / 3600.0);
-  stats.outage_fraction = static_cast<double>(outage_samples) / samples;
+  stats.outage_fraction = static_cast<double>(outage_samples) / times.size();
   StudySummary summary;
   summary.study = "handover";
-  summary.snapshots_built = static_cast<uint64_t>(samples);
+  summary.snapshots_built = times.size();
   summary.wall_seconds = timer.Seconds();
   EmitStudySummary(summary);
   return stats;

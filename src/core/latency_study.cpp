@@ -120,8 +120,8 @@ void RecordReachabilityTransitions(const std::vector<PairRttSeries>& series) {
 
 std::vector<double> SnapshotSchedule::Times() const {
   std::vector<double> times;
-  for (double t = 0.0; t < duration_sec; t += step_sec) {
-    times.push_back(t);
+  for (int i = 0; i * step_sec < duration_sec; ++i) {
+    times.push_back(i * step_sec);
   }
   return times;
 }

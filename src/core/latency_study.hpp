@@ -17,6 +17,7 @@ struct SnapshotSchedule {
   double duration_sec{86400.0};
   double step_sec{900.0};  // paper: 15-minute snapshots
 
+  // i * step_sec for every i with a time below duration_sec (no drift).
   std::vector<double> Times() const;
 };
 

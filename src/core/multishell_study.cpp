@@ -1,11 +1,11 @@
 #include "core/multishell_study.hpp"
 
 #include <limits>
+#include <utility>
 
 #include "core/report.hpp"
-#include "core/temporal_sweep.hpp"
+#include "core/routing_tiers.hpp"
 #include "data/cities.hpp"
-#include "graph/dijkstra.hpp"
 
 namespace leosim::core {
 
@@ -27,8 +27,9 @@ MultishellResult RunMultishellStudy(const Scenario& scenario,
   const NetworkModel single(scenario, options, cities);
   const NetworkModel dual(scenario, options, cities, {second_shell});
 
-  const int idx_a = data::CityIndexByName(single.cities(), city_a);
-  const int idx_b = data::CityIndexByName(single.cities(), city_b);
+  const std::vector<CityPair> pair = {{data::CityIndexByName(single.cities(), city_a),
+                                       data::CityIndexByName(single.cities(), city_b)}};
+  const std::vector<SourceGroup> groups = GroupPairsBySource(pair);
 
   const StudyTimer timer;
   StudySummary summary;
@@ -47,10 +48,9 @@ MultishellResult RunMultishellStudy(const Scenario& scenario,
     std::vector<double>& rtts = item.stream == 0 ? result.single_shell_rtt_ms
                                                  : result.dual_shell_rtt_ms;
     const auto& snap = model.BuildSnapshot(item.time_sec, &ws.snapshot);
-    const auto path = graph::ShortestPath(snap.graph, snap.CityNode(idx_a),
-                                          snap.CityNode(idx_b), ws.dijkstra);
+    const graph::Path path = std::move(RoutePairPaths(snap, pair, groups, ws)[0]);
     rtts[static_cast<size_t>(item.slot)] =
-        path ? 2.0 * path->distance : kInf;
+        path.nodes.empty() ? kInf : 2.0 * path.distance;
   });
   summary.snapshots_built = 2 * static_cast<uint64_t>(slots);
 

@@ -5,7 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "geo/geodesic.hpp"
 #include "ground/relay_grid.hpp"
 #include "link/gso.hpp"
 #include "link/radio.hpp"
@@ -183,9 +182,9 @@ NetworkModel::Snapshot& NetworkModel::BuildSnapshot(
     for (int s = 0; s < constellation_.NumShells(); ++s) {
       max_altitude = std::max(max_altitude, constellation_.shell(s).altitude_km);
     }
-    const double coverage =
-        geo::CoverageRadiusKm(max_altitude, scenario_.radio.min_elevation_deg);
-    workspace->sat_index.Rebuild(workspace->sat_soa, coverage + 100.0);
+    workspace->sat_index.Rebuild(
+        workspace->sat_soa,
+        link::IndexSearchRadiusKm(max_altitude, scenario_.radio.min_elevation_deg));
   }
 
   const double gt_capacity = GtCapacityGbps();

@@ -16,9 +16,8 @@ namespace leosim::core {
 
 struct OutageStudyOptions {
   std::vector<double> margins_db{10.0, 6.0, 4.0, 3.0, 2.0};
-  double exceedance_pct{0.1};  // weather percentile the margin must survive
   double time_sec{0.0};
-  AttenuationOptions attenuation;
+  AttenuationOptions attenuation{0.1};  // 0.1% exceedance: weather the margin survives
 };
 
 struct OutageRow {

@@ -7,7 +7,6 @@
 #include <ostream>
 #include <sstream>
 
-#include "core/export.hpp"
 #include "core/parallel.hpp"
 #include "obs/json_number.hpp"
 #include "obs/log.hpp"
@@ -74,7 +73,9 @@ void EmitStudySummary(const StudySummary& summary) {
 RunReport::RunReport(std::string run_name) : name_(std::move(run_name)) {}
 
 void RunReport::AddParam(std::string_view key, std::string_view value) {
-  params_.emplace_back(std::string(key), JsonEscape(std::string(value)));
+  std::string text;
+  obs::AppendJsonString(&text, value);
+  params_.emplace_back(std::string(key), std::move(text));
 }
 
 void RunReport::AddParam(std::string_view key, const char* value) {
@@ -107,20 +108,22 @@ void RunReport::AddSummary(const StudySummary& summary) {
 
 std::string RunReport::ToJson() const {
   std::string out = "{\n  \"run\": ";
-  out += JsonEscape(name_);
+  obs::AppendJsonString(&out, name_);
   out += ",\n  \"threads\": " + std::to_string(DefaultWorkerCount());
   out += ",\n  \"wall_seconds\": ";
   obs::AppendJsonNumber(&out, timer_.Seconds());
   out += ",\n  \"params\": {";
   for (size_t i = 0; i < params_.size(); ++i) {
     out += (i == 0 ? "\n    " : ",\n    ");
-    out += JsonEscape(params_[i].first) + ": " + params_[i].second;
+    obs::AppendJsonString(&out, params_[i].first);
+    out += ": " + params_[i].second;
   }
   out += "\n  },\n  \"studies\": [";
   for (size_t i = 0; i < summaries_.size(); ++i) {
     const StudySummary& s = summaries_[i];
     out += (i == 0 ? "\n    " : ",\n    ");
-    out += "{\"study\": " + JsonEscape(s.study);
+    out += "{\"study\": ";
+    obs::AppendJsonString(&out, s.study);
     out += ", \"snapshots_built\": " + std::to_string(s.snapshots_built);
     out += ", \"pairs_routed\": " + std::to_string(s.pairs_routed);
     out += ", \"pairs_unreachable\": " + std::to_string(s.pairs_unreachable);

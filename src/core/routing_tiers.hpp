@@ -1,9 +1,10 @@
 // The one routing-tier dispatch for the per-snapshot pair-routing
 // studies: latency (Fig. 2), route churn, throughput (Figs. 4-5, whose
 // first paths seed the edge-disjoint follow-ups), the Fig. 3 path trace,
-// attenuation (Fig. 6), satellite failures, weather outages and the
-// network-level GSO exclusion, plus the CLI's weighted-demand and
-// flow-completion extensions. Each routes the same shape of workload —
+// attenuation (Figs. 6 and 8), the multishell study (Fig. 10), satellite
+// failures, weather outages and the network-level GSO exclusion, plus
+// the CLI's Fig. 7 hop dump and its weighted-demand and flow-completion
+// extensions. Each routes the same shape of workload —
 // many city pairs grouped by source against one snapshot — and
 // RouteSourceGroups tiers it the same way for all of them: component
 // precheck, then one multi-target Dijkstra for sources with enough

@@ -9,7 +9,6 @@
 
 #include "geo/angles.hpp"
 #include "geo/coordinates.hpp"
-#include "geo/geodesic.hpp"
 #include "link/radio.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
@@ -233,11 +232,10 @@ void SnapshotStepper::ColdInit() {
     alt_min = std::min(alt_min, alt);
     alt_max = std::max(alt_max, alt);
   }
-  const double coverage = geo::CoverageRadiusKm(alt_max, min_el);
-  // Terminals beyond coverage + 100 km of the sub-satellite point cannot
-  // see the satellite (the builder's own index invariant); the pad buys
-  // drift slack so the per-satellite lists survive many steps.
-  activation_radius_km_ = coverage + 100.0 + kActivationPadKm;
+  // Terminals beyond the builder's index radius of the sub-satellite
+  // point cannot see the satellite; the pad buys drift slack so the
+  // per-satellite lists survive many steps.
+  activation_radius_km_ = link::IndexSearchRadiusKm(alt_max, min_el) + kActivationPadKm;
   ground_index_.Rebuild(ground_ecef, activation_radius_km_);
   cos_pad_ = std::cos(kActivationPadKm / geo::kEarthRadiusKm);
 

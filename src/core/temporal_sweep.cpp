@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "core/parallel.hpp"
+#include "link/visibility.hpp"
 #include "obs/progress.hpp"
 
 namespace leosim::core {
@@ -45,6 +46,29 @@ void TemporalSweep::Run(
         progress.Step();
       },
       num_threads);
+}
+
+std::vector<std::vector<std::vector<int>>> SampleVisibility(
+    const std::string& label, const orbit::Constellation& constellation,
+    double min_elevation_deg, const std::vector<geo::Vec3>& terminals_ecef,
+    const std::vector<double>& times) {
+  double max_altitude_km = 0.0;
+  for (int s = 0; s < constellation.NumShells(); ++s) {
+    max_altitude_km = std::max(max_altitude_km, constellation.shell(s).altitude_km);
+  }
+  const double radius_km = link::IndexSearchRadiusKm(max_altitude_km, min_elevation_deg);
+  std::vector<std::vector<std::vector<int>>> visible(
+      times.size(), std::vector<std::vector<int>>(terminals_ecef.size()));
+  TemporalSweep(times).Run(label, [&](const SweepItem& item, SweepWorkspace&) {
+    std::vector<geo::Vec3> sats;
+    constellation.PositionsEcefInto(item.time_sec, &sats);
+    const link::SatelliteIndex index(sats, radius_km);
+    for (size_t t = 0; t < terminals_ecef.size(); ++t) {
+      index.VisibleInto(terminals_ecef[t], min_elevation_deg,
+                        &visible[static_cast<size_t>(item.slot)][t]);
+    }
+  });
+  return visible;
 }
 
 std::vector<SourceGroup> GroupPairsBySource(const std::vector<CityPair>& pairs) {

@@ -28,6 +28,7 @@
 #include "graph/landmarks.hpp"
 #include "graph/sssp_tree.hpp"
 #include "graph/tree_reuse.hpp"
+#include "orbit/walker.hpp"
 
 namespace leosim::core {
 
@@ -101,6 +102,15 @@ class TemporalSweep {
   std::vector<double> times_;
   int streams_{1};
 };
+
+// Element [slot][t] lists the satellites of `constellation` that
+// terminals_ecef[t] sees at or above `min_elevation_deg` at times[slot],
+// ascending by id. The slots run as one TemporalSweep under `label`;
+// callers reduce the result serially, in slot order.
+std::vector<std::vector<std::vector<int>>> SampleVisibility(
+    const std::string& label, const orbit::Constellation& constellation,
+    double min_elevation_deg, const std::vector<geo::Vec3>& terminals_ecef,
+    const std::vector<double>& times);
 
 // Pairs grouped by source city (pair.a — SampleCityPairs canonicalises
 // a < b, and the studies never flip the orientation because reversing a

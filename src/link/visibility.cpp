@@ -104,6 +104,10 @@ std::vector<int> VisibleSatellitesBruteForce(const geo::Vec3& ground_ecef,
   return visible;
 }
 
+double IndexSearchRadiusKm(double max_altitude_km, double min_elevation_deg) {
+  return geo::CoverageRadiusKm(max_altitude_km, min_elevation_deg) + 100.0;
+}
+
 SatelliteIndex::SatelliteIndex(const std::vector<geo::Vec3>& sat_ecef,
                                double coverage_radius_km) {
   Rebuild(sat_ecef, coverage_radius_km);

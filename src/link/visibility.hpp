@@ -51,6 +51,12 @@ std::vector<int> VisibleSatellitesBruteForce(const geo::Vec3& ground_ecef,
                                              const std::vector<geo::Vec3>& sat_ecef,
                                              double min_elevation_deg);
 
+// The radius (km) to build a SatelliteIndex with: the highest shell's
+// sea-level coverage radius plus a 100 km pad for what that cap leaves
+// out, i.e. terminals above sea level (an aircraft at 11 km sees about
+// 24 km farther at 25 deg) and orbits above their shell's altitude.
+double IndexSearchRadiusKm(double max_altitude_km, double min_elevation_deg);
+
 class SatelliteIndex {
  public:
   // An empty index; call Rebuild before querying.
@@ -58,7 +64,7 @@ class SatelliteIndex {
 
   // Builds an index over one snapshot of satellite positions (ECEF, km).
   // `coverage_radius_km` bounds the ground distance at which any terminal
-  // could see a satellite (geo::CoverageRadiusKm of the highest shell).
+  // could see a satellite (IndexSearchRadiusKm).
   SatelliteIndex(const std::vector<geo::Vec3>& sat_ecef, double coverage_radius_km);
 
   // Re-indexes a new snapshot in place, recycling every internal buffer

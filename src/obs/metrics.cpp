@@ -59,35 +59,6 @@ void AtomicMax(std::atomic<double>& target, double value) {
   }
 }
 
-void AppendJsonString(std::string* out, std::string_view text) {
-  out->push_back('"');
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char tmp[8];
-          std::snprintf(tmp, sizeof(tmp), "\\u%04x", c);
-          out->append(tmp);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
 void AppendJsonUint(std::string* out, uint64_t value) {
   char tmp[24];
   std::snprintf(tmp, sizeof(tmp), "%" PRIu64, value);

@@ -15,6 +15,7 @@
 
 #include "core/mutex.hpp"
 #include "core/thread_annotations.hpp"
+#include "obs/json_number.hpp"
 #include "obs/schemas.hpp"
 #include "platform/perf_counters.hpp"
 
@@ -594,15 +595,9 @@ std::string HwCountersToJson() {
   out.append("\",\n");
   out.append("  \"available\": ");
   out.append(table.available ? "true" : "false");
-  out.append(",\n  \"reason\": \"");
-  for (const char c : table.reason) {  // strerror text: escape minimally
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-    }
-    const unsigned char u = static_cast<unsigned char>(c);
-    out.push_back((u < 0x20 || u > 0x7e) ? '?' : c);
-  }
-  out.append("\",\n  \"phases\": {");
+  out.append(",\n  \"reason\": ");
+  AppendJsonString(&out, table.reason);
+  out.append(",\n  \"phases\": {");
   bool first = true;
   for (const auto& [phase, totals] : table.phases) {
     out.append(first ? "\n" : ",\n");

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "geo/coordinates.hpp"
-#include "geo/geodesic.hpp"
 #include "geo/soa.hpp"
 #include "geo/vec3.hpp"
 #include "link/radio.hpp"
@@ -134,8 +133,8 @@ TEST(BatchKernelProperty, VisibleWithRangeMatchesScalarAtPolesAndAntimeridian) {
   const orbit::Constellation cons =
       orbit::Constellation::WalkerDelta(orbit::StarlinkShell1());
   const double min_el = 25.0;
-  const double coverage =
-      geo::CoverageRadiusKm(orbit::StarlinkShell1().altitude_km, min_el);
+  const double radius_km =
+      link::IndexSearchRadiusKm(orbit::StarlinkShell1().altitude_km, min_el);
 
   const std::vector<geo::GeodeticCoord> terminals = {
       {89.9, 0.0},    {-89.9, 120.0},  // poles: every lon cell is "near"
@@ -159,7 +158,7 @@ TEST(BatchKernelProperty, VisibleWithRangeMatchesScalarAtPolesAndAntimeridian) {
     geo::PackInto(soa, &sat_ecef);
     // The SoA rebuild must index the identical snapshot the packed
     // rebuild would.
-    index.Rebuild(soa, coverage + 100.0);
+    index.Rebuild(soa, radius_km);
     for (const geo::GeodeticCoord& g : terminals) {
       const geo::Vec3 ground = geo::GeodeticToEcef(g);
       index.VisibleInto(ground, min_el, &sorted_ids);

@@ -7,19 +7,12 @@
 #include "data/landmask.hpp"
 #include "geo/geodesic.hpp"
 #include "ground/fiber.hpp"
-#include "ground/station.hpp"
 
 namespace leosim::ground {
 namespace {
 
 std::vector<data::City> TestCities() {
   return {data::FindCity("Paris"), data::FindCity("Delhi"), data::FindCity("Sydney")};
-}
-
-TEST(StationTest, KindNames) {
-  EXPECT_EQ(ToString(StationKind::kCity), "city");
-  EXPECT_EQ(ToString(StationKind::kRelay), "relay");
-  EXPECT_EQ(ToString(StationKind::kAircraft), "aircraft");
 }
 
 TEST(RelayGridTest, AllPointsOnLand) {

@@ -1,5 +1,5 @@
 // Property test for obs::AppendJsonNumber, the one JSON number formatter
-// every exporter writes through.
+// every exporter writes through, plus the string encoder beside it.
 //
 // The claims under test, over more than a million seeded doubles (random
 // bit patterns, subnormals, signed zeros, the extremes, integers up to
@@ -162,6 +162,13 @@ TEST(JsonNumberTest, WritesShortestText) {
     AppendJsonNumber(&text, value);
     EXPECT_EQ(text, std::string("x") + want);
   }
+}
+
+// obs::AppendJsonString, the one JSON string encoder, shares the header.
+TEST(JsonNumberTest, StringEscapesQuotesBackslashesAndControls) {
+  std::string text = "x";
+  AppendJsonString(&text, "a\"b\\c\nd\te\x01" "f");
+  EXPECT_EQ(text, "x\"a\\\"b\\\\c\\nd\\te\\u0001f\"");
 }
 
 }  // namespace

@@ -741,7 +741,7 @@ TEST(PairRoutingStudies, OutageMatchesPerPairDijkstraWithEdgesDisabled) {
       config.frequency_ghz = freq;
       worst = std::max(worst, itur::SlantPathAttenuationDb(
                                   model.GroundNodeCoord(snap, ground), elevation,
-                                  config, options.exceedance_pct));
+                                  config, options.attenuation.exceedance_pct));
     }
     attenuation.push_back(worst);
   }

@@ -14,7 +14,11 @@
 #include <vector>
 
 #include "core/churn_study.hpp"
+#include "core/coverage_study.hpp"
+#include "core/fiber_study.hpp"
+#include "core/handover_study.hpp"
 #include "core/latency_study.hpp"
+#include "core/multishell_study.hpp"
 #include "core/throughput_study.hpp"
 #include "core/traffic_matrix.hpp"
 #include "data/cities.hpp"
@@ -157,6 +161,21 @@ std::string RunSweepStudies(const char* threads) {
   const AggregateChurn churn = RunAggregateChurnStudy(hybrid, pairs, schedule);
   const std::vector<ThroughputResult> throughput =
       RunThroughputSweep(hybrid, pairs, 2, schedule);
+  // The visibility studies sample through SampleVisibility, multishell
+  // through a two-stream sweep.
+  HandoverStudyOptions handover_options;
+  handover_options.duration_sec = 1800.0;
+  const HandoverStats handover = RunHandoverStudy(
+      Scenario::Starlink(), data::FindCity("Paris").Coord(), handover_options);
+  CoverageStudyOptions coverage_options;
+  coverage_options.step_sec = 300.0;
+  const std::vector<CoverageRow> coverage =
+      RunCoverageStudy({orbit::StarlinkShell1()}, 25.0, coverage_options);
+  const FiberStudyResult fiber =
+      RunFiberStudy(Scenario::Starlink(), data::AnchorCities(), {}, schedule);
+  const MultishellResult multishell =
+      RunMultishellStudy(Scenario::Starlink(), orbit::PolarShell(),
+                         data::AnchorCities(), "Brisbane", "Tokyo", schedule);
 
   std::string out = StripProfilingSeries(recorder.ToJson());
   recorder.Enable(false);
@@ -183,6 +202,27 @@ std::string RunSweepStudies(const char* threads) {
     append(r.total_gbps);
     append(static_cast<double>(r.pairs_routed));
     append(static_cast<double>(r.subflows));
+  }
+  for (const double v :
+       {static_cast<double>(handover.completed_passes),
+        handover.mean_pass_duration_sec, handover.max_pass_duration_sec,
+        handover.min_pass_duration_sec, handover.mean_visible_sats,
+        handover.pass_endings_per_hour, handover.outage_fraction}) {
+    append(v);
+  }
+  for (const CoverageRow& row : coverage) {
+    append(row.mean_visible);
+    append(row.availability);
+  }
+  append(fiber.metro.mean_visible_sats);
+  for (const FiberMemberStats& m : fiber.members) {
+    append(m.mean_visible_sats);
+  }
+  append(fiber.group_mean_distinct_sats);
+  append(fiber.group_mean_links);
+  for (size_t i = 0; i < multishell.times_sec.size(); ++i) {
+    append(multishell.single_shell_rtt_ms[i]);
+    append(multishell.dual_shell_rtt_ms[i]);
   }
   return out;
 }

@@ -12,7 +12,6 @@
 
 #include "geo/angles.hpp"
 #include "geo/coordinates.hpp"
-#include "geo/geodesic.hpp"
 #include "link/visibility.hpp"
 #include "orbit/walker.hpp"
 
@@ -49,15 +48,15 @@ TEST(VisibilityPropertyTest, IndexMatchesBruteForceOnRandomAndAdversarialPoints)
 
   for (const ShellCase& sc : ShellCases()) {
     const auto constellation = orbit::Constellation::WalkerDelta(sc.shell);
-    const double coverage =
-        geo::CoverageRadiusKm(sc.shell.altitude_km, sc.min_elevation_deg);
+    const double radius_km =
+        IndexSearchRadiusKm(sc.shell.altitude_km, sc.min_elevation_deg);
 
     std::vector<geo::Vec3> sats;
     SatelliteIndex index;
     std::vector<int> indexed;
     for (int round = 0; round < 3; ++round) {
       constellation.PositionsEcefInto(time_sec(rng), &sats);
-      index.Rebuild(sats, coverage + 100.0);
+      index.Rebuild(sats, radius_km);
 
       std::vector<geo::GeodeticCoord> probes = AdversarialPoints();
       for (int i = 0; i < 40; ++i) {
@@ -84,14 +83,14 @@ TEST(VisibilityPropertyTest, RebuildMatchesFreshIndex) {
   // constructing a fresh index per snapshot.
   const auto constellation =
       orbit::Constellation::WalkerDelta(orbit::StarlinkShell1());
-  const double coverage = geo::CoverageRadiusKm(550.0, 25.0);
+  const double radius_km = IndexSearchRadiusKm(550.0, 25.0);
   const geo::Vec3 gt = geo::GeodeticToEcef({47.4, -122.3, 0.0});
 
   SatelliteIndex reused;
   for (const double t : {0.0, 930.0, 1860.0}) {
     const std::vector<geo::Vec3> sats = constellation.PositionsEcef(t);
-    reused.Rebuild(sats, coverage + 100.0);
-    const SatelliteIndex fresh(sats, coverage + 100.0);
+    reused.Rebuild(sats, radius_km);
+    const SatelliteIndex fresh(sats, radius_km);
     EXPECT_EQ(fresh.Visible(gt, 25.0), reused.Visible(gt, 25.0)) << "t=" << t;
   }
 }

@@ -44,22 +44,27 @@ Rules (each maps to a repo invariant documented in DESIGN.md):
                    key on the shared summary line.
   snapshot-workspace
                    No allocating BuildSnapshot(t) in study drivers
-                   (src/core/*_study.cpp, routing.cpp). Inner loops must
-                   use the workspace overload BuildSnapshot(t, &ws) so
-                   sweeps reuse graph/index storage instead of
-                   reallocating per slot.
+                   (src/core/*_study.cpp, routing.cpp, cli/*.cpp). Inner
+                   loops must use the workspace overload
+                   BuildSnapshot(t, &ws) so sweeps reuse graph/index
+                   storage instead of reallocating per slot.
   tier-dispatch   No routing-tier mechanics in study drivers
                    (src/core/*_study.cpp): ConnectedComponentsInto,
                    ShortestPathAStar, kTreeBatchThreshold, tree.Build,
                    tree_cache.Route and a local DijkstraWorkspace belong
                    to RouteSourceGroups (src/core/routing_tiers.hpp),
-                   the one dispatch every pair-routing study calls. Nor
+                   the one dispatch every pair-routing study calls, and
+                   neither a study driver nor cli/*.cpp calls a private
+                   ShortestPath( (RoutePairPaths routes any pair). Nor
                    may a study driver or cli/*.cpp name FlowNetwork or
                    call KEdgeDisjointShortestPaths, except
                    throughput_study.cpp: routed paths become max-min
-                   flows through its FlowNetworkBuilder. Per-study copies
-                   of the routing or of the flow network cannot grow
-                   back and drift apart.
+                   flows through its FlowNetworkBuilder. A study driver
+                   names no SatelliteIndex or PositionsEcefInto either:
+                   visibility over time is sampled by SampleVisibility
+                   (src/core/temporal_sweep.hpp). Per-study copies of
+                   the routing, the flow network or the visibility time
+                   loop cannot grow back and drift apart.
   layering        The module DAG under src/ (LAYER_DEPS below) is
                    enforced on the #include graph: e.g. geo/obs include
                    nothing above them, graph never includes core, core
@@ -406,6 +411,7 @@ def check_snapshot_workspace(ctx: LintContext) -> list[Finding]:
     findings = []
     targets = ctx.files("src/core/", pattern=r"src/core/\w+_study\.cpp")
     targets += ctx.files("src/core/routing.cpp")
+    targets += ctx.files("cli/", suffixes=(".cpp",))
     for rel in targets:
         code = ctx.stripped(rel)
         for match in re.finditer(r"\bBuildSnapshot\s*\(", code):
@@ -432,14 +438,18 @@ def check_snapshot_workspace(ctx: LintContext) -> list[Finding]:
 
 # ---------------------------------------------------------------------------
 # tier-dispatch: the component precheck, tree batching and A* tiers live
-# only in RouteSourceGroups (src/core/routing_tiers.hpp), and routed paths
-# become a flow network only in src/core/throughput_study.cpp.
+# only in RouteSourceGroups (src/core/routing_tiers.hpp), routed paths
+# become a flow network only in src/core/throughput_study.cpp, and
+# visibility over time is sampled only by SampleVisibility
+# (src/core/temporal_sweep.hpp).
 
 TIER_DISPATCH_RE = re.compile(
     r"\b(?:ConnectedComponentsInto|ShortestPathAStar|kTreeBatchThreshold)\b"
     r"|\btree\s*(?:\.|->)\s*Build\s*\(|\btree_cache\s*(?:\.|->)\s*Route\s*\("
     r"|\bDijkstraWorkspace\s+\w+"
 )
+SHORTEST_PATH_RE = re.compile(r"\bShortestPath\s*\(")
+VISIBILITY_LOOP_RE = re.compile(r"\b(?:SatelliteIndex|PositionsEcefInto)\b")
 FLOW_NETWORK_RE = re.compile(r"\bFlowNetwork\b|\bKEdgeDisjointShortestPaths\s*\(")
 FLOW_NETWORK_HOME = "src/core/throughput_study.cpp"
 
@@ -457,6 +467,18 @@ def check_tier_dispatch(ctx: LintContext) -> list[Finding]:
                     f"routing-tier mechanics (`{m.group(0).rstrip('(').strip()}`) "
                     "in a study driver; route pairs through RouteSourceGroups "
                     "(src/core/routing_tiers.hpp)"))
+            if SHORTEST_PATH_RE.search(line):
+                findings.append(Finding(
+                    rel, lineno, "tier-dispatch",
+                    "private `ShortestPath` pair search; route pairs through "
+                    "RoutePairPaths (src/core/routing_tiers.hpp)"))
+            m = VISIBILITY_LOOP_RE.search(line) if is_study else None
+            if m:
+                findings.append(Finding(
+                    rel, lineno, "tier-dispatch",
+                    f"private visibility time loop (`{m.group(0)}`) in a study "
+                    "driver; sample through SampleVisibility "
+                    "(src/core/temporal_sweep.hpp)"))
             m = FLOW_NETWORK_RE.search(line) if rel != FLOW_NETWORK_HOME else None
             if m:
                 findings.append(Finding(
@@ -956,7 +978,8 @@ RULES: list[Rule] = [
          check_snapshot_workspace),
     Rule("tier-dispatch",
          "study drivers route pairs through RouteSourceGroups and "
-         "FlowNetworkBuilder only",
+         "FlowNetworkBuilder and sample visibility through SampleVisibility "
+         "only",
          check_tier_dispatch),
     Rule("layering",
          "the src/ include graph respects the declared layer DAG",

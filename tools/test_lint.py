@@ -149,6 +149,28 @@ def test_tier_dispatch_scope() -> None:
     print("ok: tier-dispatch scope (study workspaces, cli flow networks)")
 
 
+def test_private_pair_and_visibility_loops() -> None:
+    # A private ShortestPath( triggers in a study driver and in cli/; a
+    # SatelliteIndex or PositionsEcefInto triggers in a study driver; an
+    # allocating BuildSnapshot(t) triggers in cli/ as it does in src/core.
+    hits = run_rule("tier-dispatch", FIXTURES / "tier-dispatch" / "trigger")
+    got = sorted((f.path, f.line) for f in hits)
+    for want in [("src/core/multishell_study.cpp", 5),
+                 ("cli/figure_studies.cpp", 4),
+                 ("src/core/handover_study.cpp", 11),
+                 ("src/core/handover_study.cpp", 13)]:
+        check(want in got, f"tier-dispatch: expected a finding at {want}, got {got}")
+    hits = run_rule("snapshot-workspace",
+                    FIXTURES / "snapshot-workspace" / "trigger")
+    check(("cli/figure_studies.cpp", 6) in [(f.path, f.line) for f in hits],
+          "snapshot-workspace: cli/ allocating BuildSnapshot not flagged")
+    ok = FIXTURES / "tier-dispatch" / "ok"
+    check((ok / "src" / "core" / "coverage_study.cpp").is_file()
+          and (ok / "cli" / "figure_studies.cpp").is_file(),
+          "tier-dispatch: ok fixture lost its sampler or RoutePairPaths file")
+    print("ok: private pair searches and visibility loops (studies, cli)")
+
+
 def test_fingerprint_line_independence() -> None:
     a = leosim_lint.Finding("src/x.cpp", 10, "raw-mutex", "same message")
     b = leosim_lint.Finding("src/x.cpp", 99, "raw-mutex", "same message")
@@ -249,6 +271,7 @@ def main() -> int:
     test_json_number_scope()
     test_unchecked_number_parse_scope()
     test_tier_dispatch_scope()
+    test_private_pair_and_visibility_loops()
     test_fingerprint_line_independence()
     test_baseline_roundtrip()
     test_lint_sarif_valid()
