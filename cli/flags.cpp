@@ -22,7 +22,7 @@ namespace leosim::cli {
 
 const char kFlagsHelp[] =
     "flags: --pairs=N --cities=N --spacing=DEG --aircraft=SCALE "
-    "--snapshots=N --step=SEC --full --bp --out=DIR --csv=PREFIX "
+    "--snapshots=N --step=SEC --full --bp --csv=PREFIX "
     "--manifest-out=F --log-level=L --metrics-out=F --trace-out=F "
     "--timeseries-out=F --profile-out=F --hw-counters=F --trace-net-out=DIR "
     "--flight-recorder[=F] --progress[=SEC]\n";
@@ -53,7 +53,6 @@ namespace {
 
 // The string-valued flags, each stored as given.
 constexpr std::pair<std::string_view, std::string StudyConfig::*> kPathFlags[] = {
-    {"--out", &StudyConfig::out_dir},
     {"--csv", &StudyConfig::csv_prefix},
     {"--manifest-out", &StudyConfig::manifest_out},
     {"--metrics-out", &StudyConfig::metrics_out},
@@ -225,10 +224,17 @@ int WriteObsOutputs(const StudyConfig& config, int rc) {
     report(obs::WriteCollapsedStacks(config.profile_out), config.profile_out);
   }
   if (!config.trace_net_out.empty()) {
+    // Slot 0's full state plus the per-slot event stream must reproduce
+    // every later slot bit for bit before any file is written.
     const std::string& dir = config.trace_net_out;
-    if (core::NetTraceRecorder::Global().WriteTo(dir)) {
-      std::printf("wrote %s/netstate.jsonl and %s/netevents.jsonl\n", dir.c_str(),
-                  dir.c_str());
+    const core::NetTraceRecorder& recorder = core::NetTraceRecorder::Global();
+    std::string why;
+    if (!recorder.ValidateReplay(&why)) {
+      std::fprintf(stderr, "trace replay validation FAILED: %s\n", why.c_str());
+      rc = rc == 0 ? 1 : rc;
+    } else if (recorder.WriteTo(dir)) {
+      std::printf("replay validated, wrote %s/netstate.jsonl and %s/netevents.jsonl\n",
+                  dir.c_str(), dir.c_str());
     } else {
       std::fprintf(stderr, "cannot write trace files under %s\n", dir.c_str());
       rc = rc == 0 ? 1 : rc;

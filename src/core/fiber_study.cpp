@@ -10,11 +10,9 @@ namespace leosim::core {
 
 FiberStudyResult RunFiberStudy(const Scenario& scenario,
                                const std::vector<data::City>& cities,
-                               const FiberStudyOptions& options,
                                const SnapshotSchedule& schedule) {
   const StudyTimer timer;
-  const ground::FiberGroup group = ground::BuildFiberGroup(
-      cities, options.metro, options.fiber_radius_km, options.max_members);
+  const ground::FiberGroup group = ground::BuildFiberGroup(cities, "Paris");
 
   orbit::Constellation constellation;
   constellation.AddShell(scenario.shell);

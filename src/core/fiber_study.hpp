@@ -12,12 +12,6 @@
 
 namespace leosim::core {
 
-struct FiberStudyOptions {
-  std::string metro{"Paris"};
-  double fiber_radius_km{250.0};
-  int max_members{5};
-};
-
 struct FiberMemberStats {
   std::string city;
   double mean_visible_sats{0.0};
@@ -43,9 +37,9 @@ struct FiberStudyResult {
   double link_gain{0.0};  // group / metro
 };
 
+// The group is Paris plus up to 5 of `cities` within 250 km of it.
 FiberStudyResult RunFiberStudy(const Scenario& scenario,
                                const std::vector<data::City>& cities,
-                               const FiberStudyOptions& options,
                                const SnapshotSchedule& schedule);
 
 }  // namespace leosim::core

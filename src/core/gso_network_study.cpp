@@ -11,12 +11,10 @@ namespace {
 GsoModeImpact CompareMode(const Scenario& scenario,
                           const std::vector<data::City>& cities,
                           const std::vector<CityPair>& pairs,
-                          NetworkOptions options, const GsoNetworkOptions& gso,
-                          StudySummary* summary) {
+                          NetworkOptions options, StudySummary* summary) {
   options.apply_gso_exclusion = false;
   const NetworkModel plain(scenario, options, cities);
   options.apply_gso_exclusion = true;
-  options.gso_separation_deg = gso.separation_deg;
   const NetworkModel excluded(scenario, options, cities);
 
   // One workspace: each model's paths are routed, in pair order, before
@@ -24,9 +22,9 @@ GsoModeImpact CompareMode(const Scenario& scenario,
   const std::vector<SourceGroup> groups = GroupPairsBySource(pairs);
   SweepWorkspace ws;
   const std::vector<graph::Path> p0 = RoutePairPaths(
-      plain.BuildSnapshot(gso.time_sec, &ws.snapshot), pairs, groups, ws);
+      plain.BuildSnapshot(0.0, &ws.snapshot), pairs, groups, ws);
   const std::vector<graph::Path> p1 = RoutePairPaths(
-      excluded.BuildSnapshot(gso.time_sec, &ws.snapshot), pairs, groups, ws);
+      excluded.BuildSnapshot(0.0, &ws.snapshot), pairs, groups, ws);
   summary->snapshots_built += 2;
 
   GsoModeImpact impact;
@@ -80,18 +78,17 @@ std::vector<CityPair> CrossHemispherePairs(const std::vector<data::City>& cities
 GsoNetworkResult RunGsoNetworkStudy(const Scenario& scenario,
                                     const std::vector<data::City>& cities,
                                     const std::vector<CityPair>& pairs,
-                                    const NetworkOptions& base_options,
-                                    const GsoNetworkOptions& gso) {
+                                    const NetworkOptions& base_options) {
   const StudyTimer timer;
   StudySummary summary;
   summary.study = "gso_network";
   GsoNetworkResult result;
   NetworkOptions bp = base_options;
   bp.mode = ConnectivityMode::kBentPipe;
-  result.bent_pipe = CompareMode(scenario, cities, pairs, bp, gso, &summary);
+  result.bent_pipe = CompareMode(scenario, cities, pairs, bp, &summary);
   NetworkOptions hybrid = base_options;
   hybrid.mode = ConnectivityMode::kHybrid;
-  result.hybrid = CompareMode(scenario, cities, pairs, hybrid, gso, &summary);
+  result.hybrid = CompareMode(scenario, cities, pairs, hybrid, &summary);
   summary.wall_seconds = timer.Seconds();
   EmitStudySummary(summary);
   return result;

@@ -15,11 +15,6 @@
 
 namespace leosim::core {
 
-struct GsoNetworkOptions {
-  double separation_deg{22.0};
-  double time_sec{0.0};
-};
-
 struct GsoModeImpact {
   int pairs{0};
   int reachable_without_exclusion{0};
@@ -42,11 +37,11 @@ std::vector<CityPair> CrossHemispherePairs(const std::vector<data::City>& cities
                                            const std::vector<CityPair>& pairs);
 
 // `base_options` configures the shared ground segment (relay spacing,
-// aircraft); the study derives the four mode/exclusion variants from it.
+// aircraft); the study derives the four mode/exclusion variants from it
+// and routes each at t = 0 (the exclusion is Starlink's 22 deg).
 GsoNetworkResult RunGsoNetworkStudy(const Scenario& scenario,
                                     const std::vector<data::City>& cities,
                                     const std::vector<CityPair>& pairs,
-                                    const NetworkOptions& base_options,
-                                    const GsoNetworkOptions& gso);
+                                    const NetworkOptions& base_options);
 
 }  // namespace leosim::core

@@ -11,6 +11,9 @@ namespace leosim::core {
 
 namespace {
 
+// Usable sky starts at Starlink's full-deployment minimum elevation (Fig. 9).
+constexpr double kMinElevationDeg = 40.0;
+
 // ECEF point 1000 km out from `gt` along the direction given by azimuth
 // (clockwise from north) and elevation in the local horizon frame.
 geo::Vec3 DirectionTarget(const geo::Vec3& gt, double gt_lat_deg, double gt_lon_deg,
@@ -40,7 +43,7 @@ std::vector<GsoStudyRow> RunGsoArcStudy(const std::vector<double>& latitudes_deg
     const geo::Vec3 gt = geo::GeodeticToEcef({lat, 0.0, 0.0});
     double usable_weight = 0.0;
     double excluded_weight = 0.0;
-    for (double el = options.min_elevation_deg; el < 90.0;
+    for (double el = kMinElevationDeg; el < 90.0;
          el += options.elevation_step_deg) {
       // Solid-angle weight of this elevation band.
       const double weight = std::cos(geo::DegToRad(el));

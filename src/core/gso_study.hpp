@@ -7,11 +7,12 @@
 
 #include <vector>
 
+#include "link/gso.hpp"
+
 namespace leosim::core {
 
 struct GsoStudyOptions {
-  double min_elevation_deg{40.0};  // Starlink full-deployment value (Fig. 9)
-  double separation_deg{22.0};     // Starlink filing value
+  double separation_deg{link::kStarlinkGsoSeparationDeg};
   // Sky-dome sampling resolution.
   double azimuth_step_deg{3.0};
   double elevation_step_deg{1.5};
@@ -19,8 +20,8 @@ struct GsoStudyOptions {
 
 struct GsoStudyRow {
   double latitude_deg{0.0};
-  // Fraction of the usable sky dome (elevation >= min) lost to the
-  // exclusion, solid-angle weighted.
+  // Fraction of the usable sky dome (elevation >= 40 deg, Starlink's
+  // full-deployment minimum) lost to the exclusion, solid-angle weighted.
   double excluded_sky_fraction{0.0};
 };
 

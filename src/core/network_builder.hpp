@@ -36,21 +36,19 @@ std::string_view ToString(ConnectivityMode mode);
 
 struct NetworkOptions {
   ConnectivityMode mode{ConnectivityMode::kHybrid};
-  // Relay grid (ignored in kIslOnly mode). Paper defaults: 0.5 deg within
-  // 2,000 km; the studies' defaults scale spacing up for speed.
-  bool use_relays{true};
+  // Relay grid within 2,000 km of a city (ignored in kIslOnly mode). The
+  // paper's spacing is 0.5 deg; the studies' defaults scale it up for
+  // speed.
   double relay_spacing_deg{0.5};
-  double relay_radius_km{2000.0};
   // Aircraft relays (ignored in kIslOnly mode).
   bool use_aircraft{true};
   double aircraft_scale{1.0};
-  // Capacity overrides; negative values take the scenario defaults
-  // (20 Gbps GT-sat, 100 Gbps ISL).
-  double gt_capacity_gbps{-1.0};
+  // ISL capacity override; a negative value takes the scenario default
+  // (100 Gbps). GT-satellite links always carry the scenario's 20 Gbps.
   double isl_capacity_gbps{-1.0};
-  // Optional GSO-arc exclusion applied to every radio link (paper §7).
+  // Optional GSO-arc exclusion applied to every radio link (paper §7),
+  // at Starlink's 22-deg separation.
   bool apply_gso_exclusion{false};
-  double gso_separation_deg{22.0};
   // Per-satellite beam budget: at most this many simultaneous GT links per
   // satellite, closest terminals first (paper §2 notes satellites serve
   // multiple GTs on different frequency bands — a finite resource).

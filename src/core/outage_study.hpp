@@ -16,8 +16,6 @@ namespace leosim::core {
 
 struct OutageStudyOptions {
   std::vector<double> margins_db{10.0, 6.0, 4.0, 3.0, 2.0};
-  double time_sec{0.0};
-  AttenuationOptions attenuation{0.1};  // 0.1% exceedance: weather the margin survives
 };
 
 struct OutageRow {
@@ -27,6 +25,8 @@ struct OutageRow {
   double mean_rtt_ms{0.0};         // over reachable pairs
 };
 
+// Links are judged at 0.1% exceedance (weather the margin must survive)
+// in the t = 0 snapshot.
 std::vector<OutageRow> RunOutageStudy(const NetworkModel& model,
                                       const std::vector<CityPair>& pairs,
                                       const OutageStudyOptions& options);

@@ -18,16 +18,14 @@ TemporalSweep::TemporalSweep(std::vector<double> times, int streams)
 
 void TemporalSweep::Run(
     const std::string& progress_label,
-    const std::function<void(const SweepItem&, SweepWorkspace&)>& body,
-    int num_threads) const {
+    const std::function<void(const SweepItem&, SweepWorkspace&)>& body) const {
   const int items = slots() * streams_;
   if (items <= 0) {
     return;
   }
   // Workspaces are indexed by dense worker id, and ParallelForWorkers
   // resolves the same worker count (capped at the item count).
-  const int workers =
-      std::min(items, num_threads > 0 ? num_threads : DefaultWorkerCount());
+  const int workers = std::min(items, DefaultWorkerCount());
   std::vector<SweepWorkspace> workspaces(static_cast<size_t>(workers));
   obs::ProgressReporter progress(progress_label,
                                  static_cast<uint64_t>(items));
@@ -44,8 +42,7 @@ void TemporalSweep::Run(
         item.time_sec = times_[static_cast<size_t>(item.slot)];
         body(item, workspaces[static_cast<size_t>(worker)]);
         progress.Step();
-      },
-      num_threads);
+      });
 }
 
 std::vector<std::vector<std::vector<int>>> SampleVisibility(
@@ -114,14 +111,10 @@ bool CanDeriveBentPipeByMasking(const NetworkModel& bp_model,
   }
   // Every option apart from the mode must match: each one below feeds
   // node layout, radio-edge construction, or edge weights.
-  if (a.use_relays != b.use_relays ||
-      a.relay_spacing_deg != b.relay_spacing_deg ||
-      a.relay_radius_km != b.relay_radius_km ||
+  if (a.relay_spacing_deg != b.relay_spacing_deg ||
       a.use_aircraft != b.use_aircraft ||
       a.aircraft_scale != b.aircraft_scale ||
-      a.gt_capacity_gbps != b.gt_capacity_gbps ||
       a.apply_gso_exclusion != b.apply_gso_exclusion ||
-      a.gso_separation_deg != b.gso_separation_deg ||
       a.max_gt_links_per_satellite != b.max_gt_links_per_satellite ||
       a.seed != b.seed) {
     return false;

@@ -89,14 +89,13 @@ class TemporalSweep {
   int slots() const { return static_cast<int>(times_.size()); }
   int streams() const { return streams_; }
 
-  // Invokes body(item, workspace) once per (slot, stream) across the
-  // resolved worker count (see parallel.hpp for resolution and
-  // exception semantics), reporting one progress step per item under
-  // `progress_label`. The body must confine its writes to slot-indexed
+  // Invokes body(item, workspace) once per (slot, stream) across
+  // DefaultWorkerCount() workers (LEOSIM_THREADS; see parallel.hpp for
+  // resolution and exception semantics), reporting one progress step
+  // per item under `progress_label`. The body must confine its writes to slot-indexed
   // state; it runs concurrently for distinct items.
   void Run(const std::string& progress_label,
-           const std::function<void(const SweepItem&, SweepWorkspace&)>& body,
-           int num_threads = 0) const;
+           const std::function<void(const SweepItem&, SweepWorkspace&)>& body) const;
 
  private:
   std::vector<double> times_;

@@ -12,6 +12,9 @@ namespace leosim::core {
 
 namespace {
 
+// Sampled pairs are more than this far apart along the geodesic (paper §3).
+constexpr double kMinPairDistanceKm = 2000.0;
+
 // Shared rejection-sampling core; `draw_endpoint` picks one city index.
 template <typename EndpointDrawer>
 std::vector<CityPair> SamplePairs(const std::vector<data::City>& cities,
@@ -52,7 +55,7 @@ std::vector<CityPair> SamplePairs(const std::vector<data::City>& cities,
     }
     if (geo::GreatCircleDistanceKm(cities[static_cast<size_t>(a)].Coord(),
                                    cities[static_cast<size_t>(b)].Coord()) <=
-        options.min_distance_km) {
+        kMinPairDistanceKm) {
       continue;
     }
     seen.insert({a, b});

@@ -18,7 +18,6 @@ struct CityPair {
 
 struct TrafficMatrixOptions {
   int num_pairs{5000};
-  double min_distance_km{2000.0};
   uint64_t seed{20201104};  // HotNets'20 presentation date
 };
 

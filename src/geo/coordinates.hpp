@@ -2,8 +2,7 @@
 //
 // The experiments in this library use a spherical Earth of mean radius
 // kEarthRadiusKm, matching the fidelity of the paper (and of LEO simulators
-// such as Hypatia). WGS84 ellipsoidal conversions are also provided for
-// users who need geodetic-grade positions.
+// such as Hypatia).
 #pragma once
 
 #include "geo/vec3.hpp"
@@ -16,11 +15,6 @@ inline constexpr double kEarthRadiusKm = 6371.0;
 
 // Speed of light in vacuum, km/s. Radio and laser links both propagate at c.
 inline constexpr double kSpeedOfLightKmPerSec = 299792.458;
-
-// WGS84 ellipsoid parameters, km.
-inline constexpr double kWgs84SemiMajorKm = 6378.137;
-inline constexpr double kWgs84Flattening = 1.0 / 298.257223563;
-inline constexpr double kWgs84SemiMinorKm = kWgs84SemiMajorKm * (1.0 - kWgs84Flattening);
 
 // A position given as geodetic latitude/longitude (degrees) and altitude
 // above the surface (km). Latitude in [-90, 90], longitude in [-180, 180).
@@ -39,13 +33,6 @@ Vec3 GeodeticToEcef(const GeodeticCoord& g);
 
 // ECEF -> geodetic, spherical Earth. Units: km.
 GeodeticCoord EcefToGeodetic(const Vec3& ecef);
-
-// --- WGS84 ellipsoidal conversions ---
-
-Vec3 GeodeticToEcefWgs84(const GeodeticCoord& g);
-
-// Iterative (Bowring-style) inverse; converges to sub-metre in a few steps.
-GeodeticCoord EcefToGeodeticWgs84(const Vec3& ecef);
 
 // --- ECI <-> ECEF ---
 //

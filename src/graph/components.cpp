@@ -4,13 +4,6 @@
 
 namespace leosim::graph {
 
-Components ConnectedComponents(const Graph& g) {
-  Components result;
-  std::vector<NodeId> stack;
-  result.count = ConnectedComponentsInto(g, &result.label, &stack);
-  return result;
-}
-
 int ConnectedComponentsInto(const Graph& g, std::vector<int>* label,
                             std::vector<NodeId>* stack) {
   g.FinalizeAdjacency();
@@ -44,14 +37,16 @@ int ConnectedComponentsInto(const Graph& g, std::vector<int>* label,
 
 int CountDisconnected(const Graph& g, const std::vector<NodeId>& candidates,
                       const std::vector<NodeId>& targets) {
-  const Components comps = ConnectedComponents(g);
-  std::vector<bool> target_comp(static_cast<size_t>(comps.count), false);
+  std::vector<int> label;
+  std::vector<NodeId> stack;
+  const int count = ConnectedComponentsInto(g, &label, &stack);
+  std::vector<bool> target_comp(static_cast<size_t>(count), false);
   for (const NodeId t : targets) {
-    target_comp[static_cast<size_t>(comps.label[static_cast<size_t>(t)])] = true;
+    target_comp[static_cast<size_t>(label[static_cast<size_t>(t)])] = true;
   }
   int disconnected = 0;
   for (const NodeId c : candidates) {
-    if (!target_comp[static_cast<size_t>(comps.label[static_cast<size_t>(c)])]) {
+    if (!target_comp[static_cast<size_t>(label[static_cast<size_t>(c)])]) {
       ++disconnected;
     }
   }

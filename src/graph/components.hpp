@@ -9,16 +9,10 @@
 
 namespace leosim::graph {
 
-struct Components {
-  std::vector<int> label;  // component id per node, 0..count-1
-  int count{0};
-};
-
-Components ConnectedComponents(const Graph& g);
-
-// As above into caller-owned storage (`label` is resized to NumNodes(),
-// `stack` is DFS scratch), so a per-snapshot loop performs no
-// steady-state allocation. Returns the component count.
+// Labels every node with its component id, 0..count-1, into caller-owned
+// storage (`label` is resized to NumNodes(), `stack` is DFS scratch), so
+// a per-snapshot loop performs no steady-state allocation. Returns the
+// component count.
 //
 // The temporal studies use the labels as a reachability precheck: a
 // pair in different components is unreachable without running Dijkstra,

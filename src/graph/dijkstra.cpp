@@ -172,13 +172,6 @@ std::optional<Path> ShortestPath(const Graph& g, NodeId src, NodeId dst,
       workspace.DistanceOf(dst));
 }
 
-std::vector<double> ShortestDistances(const Graph& g, NodeId src) {
-  DijkstraWorkspace workspace;
-  std::vector<double> dist;
-  ShortestDistancesInto(g, src, workspace, &dist);
-  return dist;
-}
-
 void ShortestDistancesInto(const Graph& g, NodeId src, DijkstraWorkspace& workspace,
                            std::vector<double>* out) {
   g.FinalizeAdjacency();

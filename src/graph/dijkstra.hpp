@@ -231,11 +231,9 @@ std::optional<Path> ShortestPathAStar(const Graph& g, NodeId src, NodeId dst,
   return path;
 }
 
-// Single-source distances to every node (kInfDistance if unreachable).
-std::vector<double> ShortestDistances(const Graph& g, NodeId src);
-
-// As above into a caller-owned vector (resized to NumNodes()), reusing
-// `workspace` scratch across queries.
+// Single-source distances to every node (kInfDistance if unreachable)
+// into a caller-owned vector (resized to NumNodes()), reusing `workspace`
+// scratch across queries.
 void ShortestDistancesInto(const Graph& g, NodeId src, DijkstraWorkspace& workspace,
                            std::vector<double>* out);
 

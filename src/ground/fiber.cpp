@@ -1,11 +1,19 @@
 #include "ground/fiber.hpp"
 
 #include <algorithm>
+#include <cstddef>
 
 #include "geo/coordinates.hpp"
 #include "geo/geodesic.hpp"
 
 namespace leosim::ground {
+
+namespace {
+
+constexpr double kGroupRadiusKm = 250.0;
+constexpr size_t kMaxMembers = 5;
+
+}  // namespace
 
 double FiberLatencyMs(double geodesic_km) {
   constexpr double kRefractiveIndex = 1.47;
@@ -15,8 +23,7 @@ double FiberLatencyMs(double geodesic_km) {
 }
 
 FiberGroup BuildFiberGroup(const std::vector<data::City>& cities,
-                           const std::string& metro_name, double radius_km,
-                           int max_members) {
+                           const std::string& metro_name) {
   FiberGroup group;
   group.metro = data::FindCity(metro_name);
   std::vector<data::City> nearby;
@@ -25,15 +32,15 @@ FiberGroup BuildFiberGroup(const std::vector<data::City>& cities,
       continue;
     }
     const double d = geo::GreatCircleDistanceKm(group.metro.Coord(), c.Coord());
-    if (d <= radius_km) {
+    if (d <= kGroupRadiusKm) {
       nearby.push_back(c);
     }
   }
   std::sort(nearby.begin(), nearby.end(), [](const data::City& a, const data::City& b) {
     return a.population_k > b.population_k;
   });
-  if (static_cast<int>(nearby.size()) > max_members) {
-    nearby.resize(max_members);
+  if (nearby.size() > kMaxMembers) {
+    nearby.resize(kMaxMembers);
   }
   group.satellites_cities = std::move(nearby);
   return group;

@@ -3,6 +3,7 @@
 // ground-satellite capacity the metro can borrow ("distributed GTs").
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "data/cities.hpp"
@@ -18,11 +19,10 @@ struct FiberGroup {
 // index ~1.47 and ~20% route stretch over the geodesic.
 double FiberLatencyMs(double geodesic_km);
 
-// Builds a fiber group for `metro_name`: the up-to `max_members` most
-// populous cities within `radius_km` of the metro (excluding the metro),
-// drawn from `cities`.
+// Builds a fiber group for `metro_name`: the up-to 5 most populous
+// cities within 250 km of the metro (excluding the metro), drawn from
+// `cities`.
 FiberGroup BuildFiberGroup(const std::vector<data::City>& cities,
-                           const std::string& metro_name, double radius_km = 250.0,
-                           int max_members = 5);
+                           const std::string& metro_name);
 
 }  // namespace leosim::ground

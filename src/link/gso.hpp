@@ -13,8 +13,11 @@ namespace leosim::link {
 // Radius of the geostationary belt from the Earth's centre, km.
 inline constexpr double kGsoRadiusKm = 42164.0;
 
+// Starlink's filed minimum separation from the GSO arc, degrees.
+inline constexpr double kStarlinkGsoSeparationDeg = 22.0;
+
 struct GsoConfig {
-  double separation_deg{22.0};  // Starlink filing value
+  double separation_deg{kStarlinkGsoSeparationDeg};
   int arc_samples{720};
 };
 

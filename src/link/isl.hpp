@@ -1,14 +1,11 @@
 // Laser inter-satellite link parameters (paper §2: 100 Gbps-class laser
-// links forming a +Grid; must stay above the lower atmosphere).
+// links forming a +Grid).
 #pragma once
 
 namespace leosim::link {
 
 struct IslConfig {
   double capacity_gbps{100.0};
-  // Links whose straight segment dips below this altitude are considered
-  // atmosphere-grazing and rejected.
-  double min_link_altitude_km{80.0};
 };
 
 }  // namespace leosim::link

@@ -1,9 +1,13 @@
 #include "orbit/tle.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <system_error>
+#include <type_traits>
 
 #include "geo/angles.hpp"
 #include "geo/coordinates.hpp"
@@ -30,22 +34,49 @@ std::string Field(const std::string& line, int first, int last) {
   return s.substr(begin, end - begin + 1);
 }
 
-double ParseDouble(const std::string& line, int first, int last, const char* what) {
-  const std::string s = Field(line, first, last);
-  try {
-    size_t consumed = 0;
-    const double v = std::stod(s, &consumed);
-    if (consumed != s.size()) {
-      throw std::invalid_argument(what);
-    }
-    return v;
-  } catch (const std::exception&) {
-    throw std::invalid_argument(std::string("malformed TLE field: ") + what);
-  }
+[[noreturn]] void Malformed(const char* what) {
+  throw std::invalid_argument(std::string("malformed TLE field: ") + what);
 }
 
+// Parses one trimmed field as a whole with std::from_chars, which is
+// locale-independent and never reads past the field. A leading '+' is
+// accepted (std::from_chars takes only '-'); anything left unparsed, an
+// out-of-range value, nan and inf are rejected.
+template <typename T>
+T ParseNumber(const std::string& line, int first, int last, const char* what) {
+  const std::string field = Field(line, first, last);
+  std::string_view text = field;
+  if (text.starts_with('+')) {
+    text.remove_prefix(1);
+    if (text.starts_with('-')) {
+      Malformed(what);
+    }
+  }
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end) {
+    Malformed(what);
+  }
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) {
+      Malformed(what);
+    }
+  }
+  return value;
+}
+
+double ParseDouble(const std::string& line, int first, int last, const char* what) {
+  return ParseNumber<double>(line, first, last, what);
+}
+
+// The TLE integer fields (catalog number, epoch year) are unsigned.
 int ParseInt(const std::string& line, int first, int last, const char* what) {
-  return static_cast<int>(ParseDouble(line, first, last, what));
+  const int value = ParseNumber<int>(line, first, last, what);
+  if (value < 0) {
+    Malformed(what);
+  }
+  return value;
 }
 
 void CheckLine(const std::string& line, char expected_tag) {

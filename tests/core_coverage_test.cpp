@@ -47,16 +47,6 @@ TEST(CoverageStudyTest, DensityPeaksNearInclinationLatitude) {
   EXPECT_GT(rows[1].mean_visible, 2.0 * rows[0].mean_visible);
 }
 
-TEST(CoverageStudyTest, MinSatellitesThresholdLowersAvailability) {
-  CoverageStudyOptions one = FastOptions();
-  one.latitudes_deg = {10.0};
-  CoverageStudyOptions many = one;
-  many.min_satellites = 8;
-  const auto avail_one = StarlinkCoverage(one)[0].availability;
-  const auto avail_many = StarlinkCoverage(many)[0].availability;
-  EXPECT_LE(avail_many, avail_one);
-}
-
 TEST(StarlinkGen1Test, ShellRosterMatchesFilings) {
   const auto shells = orbit::StarlinkGen1AllShells();
   ASSERT_EQ(shells.size(), 5u);

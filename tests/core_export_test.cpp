@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "core/stats.hpp"
 
@@ -11,32 +12,13 @@ namespace {
 
 TEST(CsvTest, HeaderAndRows) {
   std::ostringstream os;
-  CsvWriter writer(os, {"a", "b"});
-  writer.WriteRow(std::vector<std::string>{"1", "x"});
-  writer.WriteRow(std::vector<double>{2.5, 3.0});
-  EXPECT_EQ(writer.rows_written(), 2);
-  EXPECT_EQ(os.str(), "a,b\n1,x\n2.5,3\n");
-}
-
-TEST(CsvTest, EscapesSpecialCells) {
-  EXPECT_EQ(CsvEscape("plain"), "plain");
-  EXPECT_EQ(CsvEscape("with,comma"), "\"with,comma\"");
-  EXPECT_EQ(CsvEscape("say \"hi\""), "\"say \"\"hi\"\"\"");
-  EXPECT_EQ(CsvEscape("two\nlines"), "\"two\nlines\"");
-}
-
-TEST(CsvTest, RejectsMismatchedWidth) {
-  std::ostringstream os;
-  CsvWriter writer(os, {"a", "b"});
-  EXPECT_THROW(writer.WriteRow(std::vector<std::string>{"only-one"}),
-               std::invalid_argument);
-  EXPECT_THROW(CsvWriter(os, {}), std::invalid_argument);
+  WriteCdfCsv(os, "a", {{2.5, 0.5}, {3.0, 1.0}});
+  EXPECT_EQ(os.str(), "a,cdf\n2.5,0.5\n3,1\n");
 }
 
 TEST(CsvTest, DoubleRoundTripPrecision) {
   std::ostringstream os;
-  CsvWriter writer(os, {"v"});
-  writer.WriteRow(std::vector<double>{0.1234567890123456});
+  WriteCdfCsv(os, "v", {{0.1234567890123456, 1.0}});
   const std::string out = os.str();
   const double parsed = std::stod(out.substr(out.find('\n') + 1));
   EXPECT_DOUBLE_EQ(parsed, 0.1234567890123456);

@@ -156,10 +156,9 @@ TEST(GsoNetworkStudyTest, BpSuffersMoreFromExclusion) {
   ASSERT_GE(crossing.size(), 10u);
   const std::vector<CityPair> sample(crossing.begin(),
                                      crossing.begin() + 10);
-  GsoNetworkOptions gso;
   const GsoNetworkResult result =
       RunGsoNetworkStudy(Scenario::Starlink(), cities, sample,
-                         FastOptions(ConnectivityMode::kBentPipe), gso);
+                         FastOptions(ConnectivityMode::kBentPipe));
   // Exclusion can only remove links: reachability never improves, RTT
   // never decreases.
   EXPECT_LE(result.bent_pipe.reachable_with_exclusion,

@@ -105,7 +105,9 @@ TEST(DijkstraTest, RespectsDisabledEdges) {
 
 TEST(DijkstraTest, ShortestDistancesMatchesSinglePair) {
   const Graph g = Diamond();
-  const std::vector<double> dist = ShortestDistances(g, 0);
+  DijkstraWorkspace ws;
+  std::vector<double> dist;
+  ShortestDistancesInto(g, 0, ws, &dist);
   EXPECT_DOUBLE_EQ(dist[0], 0.0);
   EXPECT_DOUBLE_EQ(dist[1], 1.0);
   EXPECT_DOUBLE_EQ(dist[2], 1.5);
@@ -115,7 +117,9 @@ TEST(DijkstraTest, ShortestDistancesMatchesSinglePair) {
 TEST(DijkstraTest, UnreachableDistanceIsInfinite) {
   Graph g(3);
   g.AddEdge(0, 1, 5.0);
-  const std::vector<double> dist = ShortestDistances(g, 0);
+  DijkstraWorkspace ws;
+  std::vector<double> dist;
+  ShortestDistancesInto(g, 0, ws, &dist);
   EXPECT_EQ(dist[2], kInfDistance);
 }
 
@@ -199,19 +203,20 @@ TEST(DisjointPathsTest, KOneIsJustShortestPath) {
 
 TEST(ComponentsTest, SingleComponent) {
   const Graph g = Diamond();
-  const Components c = ConnectedComponents(g);
-  EXPECT_EQ(c.count, 1);
+  std::vector<int> label;
+  std::vector<NodeId> stack;
+  EXPECT_EQ(ConnectedComponentsInto(g, &label, &stack), 1);
 }
 
 TEST(ComponentsTest, DisabledEdgesSplitComponents) {
   Graph g(4);
   const EdgeId e01 = g.AddEdge(0, 1, 1.0);
   g.AddEdge(2, 3, 1.0);
-  Components c = ConnectedComponents(g);
-  EXPECT_EQ(c.count, 2);
+  std::vector<int> label;
+  std::vector<NodeId> stack;
+  EXPECT_EQ(ConnectedComponentsInto(g, &label, &stack), 2);
   g.SetEnabled(e01, false);
-  c = ConnectedComponents(g);
-  EXPECT_EQ(c.count, 3);
+  EXPECT_EQ(ConnectedComponentsInto(g, &label, &stack), 3);
 }
 
 TEST(ComponentsTest, CountDisconnected) {

@@ -2,38 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "core/outage_study.hpp"
 #include "geo/geodesic.hpp"
-#include "orbit/elements.hpp"
 
 namespace leosim::orbit {
 namespace {
-
-TEST(GroundTrackTest, TrackStaysOnSurfaceAndInBounds) {
-  const CircularOrbit orbit({550.0, 53.0, 10.0, 0.0});
-  const auto track = GroundTrack(orbit, 0.0, 3000.0, 60.0);
-  EXPECT_EQ(track.size(), 51u);
-  for (const geo::GeodeticCoord& g : track) {
-    EXPECT_DOUBLE_EQ(g.altitude_km, 0.0);
-    EXPECT_LE(std::fabs(g.latitude_deg), 53.0 + 0.1);
-  }
-}
-
-TEST(GroundTrackTest, TrackMovesWestwardBetweenOrbits) {
-  // Earth rotation shifts the ascending-node longitude west each orbit.
-  const CircularOrbit orbit({550.0, 53.0, 0.0, 0.0});
-  const double period = OrbitalPeriodSec(550.0);
-  const auto first = GroundTrack(orbit, 0.0, 0.0, 1.0);
-  const auto next = GroundTrack(orbit, period, period, 1.0);
-  ASSERT_EQ(first.size(), 1u);
-  ASSERT_EQ(next.size(), 1u);
-  double delta = first[0].longitude_deg - next[0].longitude_deg;
-  while (delta < 0.0) delta += 360.0;
-  // ~24 degrees of rotation in ~95.6 minutes.
-  EXPECT_NEAR(delta, 24.0, 1.0);
-}
 
 TEST(GroundTrackTest, FindsPassWithPlausibleDuration) {
   // A satellite whose orbit passes near the terminal: start it south of

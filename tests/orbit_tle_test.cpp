@@ -89,6 +89,35 @@ TEST(TleTest, RejectsEccentricOrbit) {
   EXPECT_THROW(ParseTle(kIssLine1, line2), std::invalid_argument);
 }
 
+// kIssLine2 with `text` over columns [first, first + size) (1-indexed)
+// and a recomputed checksum.
+std::string IssLine2With(int first, const std::string& text) {
+  std::string line2 = kIssLine2;
+  line2.replace(static_cast<size_t>(first - 1), text.size(), text);
+  line2[68] = static_cast<char>('0' + TleChecksum(line2));
+  return line2;
+}
+
+TEST(TleTest, RejectsNonIntegerCatalogNumber) {
+  for (const char* field : {"  nan", " 9e99", "  1.5", "  inf", " -123", "12 34"}) {
+    EXPECT_THROW(ParseTle(kIssLine1, IssLine2With(3, field)), std::invalid_argument)
+        << "catalog field '" << field << "'";
+  }
+}
+
+TEST(TleTest, RejectsNonFiniteAndTrailingReals) {
+  for (const char* field : {"     nan", "     inf", "51.6x16", "1e999999"}) {
+    EXPECT_THROW(ParseTle(kIssLine1, IssLine2With(9, field)), std::invalid_argument)
+        << "inclination field '" << field << "'";
+  }
+}
+
+TEST(TleTest, AcceptsExplicitPlusAndBareFraction) {
+  EXPECT_EQ(ParseTle(kIssLine1, IssLine2With(3, "+5544")).catalog_number, 5544);
+  EXPECT_DOUBLE_EQ(ParseTle(kIssLine1, IssLine2With(18, "-.500000")).raan_deg, -0.5);
+  EXPECT_THROW(ParseTle(kIssLine1, IssLine2With(3, "+-554")), std::invalid_argument);
+}
+
 TEST(TleTest, SyntheticRoundTrip) {
   // 15.05 rev/day ~ 550 km.
   const auto [l1, l2] = SyntheticTle(44713, 53.0, 120.0, 45.0, 15.05);

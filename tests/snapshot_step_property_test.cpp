@@ -148,6 +148,26 @@ TEST(SnapshotStepProperty, CrossCheckModePassesAndUnsupportedModelsFallBack) {
   EXPECT_EQ(air_stepper.TryStep(air_model, 620.0, &air_ws), nullptr);
 }
 
+// Aircraft enabled at scale 0 generate no flights, so the model has no
+// moving nodes and must step like a static one (every `leosim_cli`
+// sweep at `--aircraft=0`).
+TEST(SnapshotStepProperty, ZeroAircraftScaleSteps) {
+  NetworkOptions options = StepOptions(ConnectivityMode::kHybrid);
+  options.use_aircraft = true;
+  options.aircraft_scale = 0.0;
+  const NetworkModel model(Scenario::Starlink(), options, data::AnchorCities());
+  NetworkModel::SnapshotWorkspace ws;
+  SnapshotStepper stepper;
+  BuildOrStepSnapshot(model, 500.0, &ws, &stepper);
+  const NetworkModel::Snapshot& stepped =
+      BuildOrStepSnapshot(model, 510.0, &ws, &stepper);
+  EXPECT_TRUE(stepper.Warm());
+  EXPECT_EQ(stepped.num_aircraft, 0);
+  const NetworkModel::Snapshot rebuilt = model.BuildSnapshot(510.0);
+  std::string why;
+  EXPECT_TRUE(SnapshotsEquivalent(stepped, rebuilt, &why)) << why;
+}
+
 TEST(SnapshotStepProperty, StepDisableEnvForcesRebuilds) {
   setenv("LEOSIM_STEP", "0", 1);
   const NetworkModel model(Scenario::Starlink(),

@@ -172,7 +172,7 @@ std::string RunSweepStudies(const char* threads) {
   const std::vector<CoverageRow> coverage =
       RunCoverageStudy({orbit::StarlinkShell1()}, 25.0, coverage_options);
   const FiberStudyResult fiber =
-      RunFiberStudy(Scenario::Starlink(), data::AnchorCities(), {}, schedule);
+      RunFiberStudy(Scenario::Starlink(), data::AnchorCities(), schedule);
   const MultishellResult multishell =
       RunMultishellStudy(Scenario::Starlink(), orbit::PolarShell(),
                          data::AnchorCities(), "Brisbane", "Tokyo", schedule);

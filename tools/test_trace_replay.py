@@ -32,7 +32,7 @@ STEP_SEC = 10
 def run_mode(cli: str, out_dir: Path, mode_flag: list[str], label: str) -> int:
     proc = subprocess.run(
         [cli, "trace", f"--pairs=5", f"--snapshots={SNAPSHOTS}",
-         f"--step={STEP_SEC}", "--spacing=6", f"--out={out_dir}", *mode_flag],
+         f"--step={STEP_SEC}", "--spacing=6", f"--trace-net-out={out_dir}", *mode_flag],
         capture_output=True, text=True,
     )
     if proc.returncode != 0:
