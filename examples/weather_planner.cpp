@@ -31,8 +31,6 @@ int Run(int argc, char** argv) {
     return 1;
   }
   const data::City& site = data::FindCity(city);
-  itur::SlantPathConfig config;
-  config.frequency_ghz = *freq;
 
   std::printf("atmospheric attenuation at %s (%.2f, %.2f), %.2f GHz\n",
               city.c_str(), site.latitude_deg, site.longitude_deg, *freq);
@@ -42,7 +40,7 @@ int Run(int argc, char** argv) {
                "scint (dB)", "total (dB)", "rx power"});
   for (const double el : {10.0, 20.0, 30.0, 45.0, 60.0, 90.0}) {
     const itur::AttenuationBreakdown b =
-        itur::SlantPathAttenuation(site.Coord(), el, config, 0.5);
+        itur::SlantPathAttenuation(site.Coord(), el, *freq, 0.5);
     table.AddRow({FormatDouble(el, 0), FormatDouble(b.gas_db), FormatDouble(b.cloud_db),
                   FormatDouble(b.rain_db), FormatDouble(b.scintillation_db),
                   FormatDouble(b.total_db),
@@ -53,7 +51,7 @@ int Run(int argc, char** argv) {
   PrintBanner(std::cout, "availability sweep at 30 deg elevation");
   Table avail({"availability", "exceedance (%)", "total (dB)", "rx power"});
   for (const double p : {5.0, 1.0, 0.5, 0.1, 0.01}) {
-    const double total = itur::SlantPathAttenuationDb(site.Coord(), 30.0, config, p);
+    const double total = itur::SlantPathAttenuationDb(site.Coord(), 30.0, *freq, p);
     avail.AddRow({FormatDouble(100.0 - p, 2) + "%", FormatDouble(p, 2),
                   FormatDouble(total),
                   FormatDouble(itur::ReceivedPowerFraction(total) * 100.0, 0) + "%"});

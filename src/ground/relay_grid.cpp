@@ -19,34 +19,33 @@ int64_t CellKey(int lat_idx, int lon_idx, int lon_cells) {
 }  // namespace
 
 std::vector<geo::GeodeticCoord> BuildRelayGrid(const std::vector<data::City>& cities,
-                                               const RelayGridConfig& config) {
-  const double spacing = config.spacing_deg;
-  const int lat_cells = static_cast<int>(std::lround(180.0 / spacing));
-  const int lon_cells = static_cast<int>(std::lround(360.0 / spacing));
-  const double radius_deg = geo::RadToDeg(config.radius_km / geo::kEarthRadiusKm);
+                                               double spacing_deg) {
+  const int lat_cells = static_cast<int>(std::lround(180.0 / spacing_deg));
+  const int lon_cells = static_cast<int>(std::lround(360.0 / spacing_deg));
+  const double radius_deg = geo::RadToDeg(kRelayRadiusKm / geo::kEarthRadiusKm);
 
   // Mark grid cells within the coverage disc of any city.
   std::unordered_set<int64_t> marked;
   for (const data::City& city : cities) {
     const int lat_lo = static_cast<int>(
-        std::floor((city.latitude_deg - radius_deg + 90.0) / spacing));
+        std::floor((city.latitude_deg - radius_deg + 90.0) / spacing_deg));
     const int lat_hi = static_cast<int>(
-        std::ceil((city.latitude_deg + radius_deg + 90.0) / spacing));
+        std::ceil((city.latitude_deg + radius_deg + 90.0) / spacing_deg));
     for (int li = std::max(lat_lo, 0); li <= std::min(lat_hi, lat_cells - 1); ++li) {
-      const double lat = -90.0 + li * spacing;
+      const double lat = -90.0 + li * spacing_deg;
       // Longitude window widens with latitude; near the poles scan it all.
       const double cos_lat = std::cos(geo::DegToRad(lat));
       const double lon_window =
           cos_lat > 0.05 ? radius_deg / cos_lat : 180.0;
       const int lon_lo = static_cast<int>(
-          std::floor((city.longitude_deg - lon_window + 180.0) / spacing));
+          std::floor((city.longitude_deg - lon_window + 180.0) / spacing_deg));
       const int lon_hi = static_cast<int>(
-          std::ceil((city.longitude_deg + lon_window + 180.0) / spacing));
+          std::ceil((city.longitude_deg + lon_window + 180.0) / spacing_deg));
       for (int raw = lon_lo; raw <= lon_hi; ++raw) {
         const int wrapped = ((raw % lon_cells) + lon_cells) % lon_cells;
-        const double lon = -180.0 + wrapped * spacing;
+        const double lon = -180.0 + wrapped * spacing_deg;
         if (geo::GreatCircleDistanceKm(city.Coord(), {lat, lon, 0.0}) <=
-            config.radius_km) {
+            kRelayRadiusKm) {
           marked.insert(CellKey(li, wrapped, lon_cells));
         }
       }
@@ -60,8 +59,8 @@ std::vector<geo::GeodeticCoord> BuildRelayGrid(const std::vector<data::City>& ci
   for (const int64_t key : marked) {
     const int li = static_cast<int>(key / lon_cells);
     const int wi = static_cast<int>(key % lon_cells);
-    const double lat = -90.0 + li * spacing;
-    const double lon = -180.0 + wi * spacing;
+    const double lat = -90.0 + li * spacing_deg;
+    const double lon = -180.0 + wi * spacing_deg;
     if (mask.IsLand(lat, lon)) {
       grid.push_back({lat, lon, 0.0});
     }

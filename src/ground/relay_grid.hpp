@@ -1,6 +1,6 @@
 // Relay ground-terminal grid (paper §3): transit-only GTs placed every
 // `spacing_deg` on the latitude-longitude grid, on land, within
-// `radius_km` of at least one city. The paper uses 0.5 degrees and
+// kRelayRadiusKm of at least one city. The paper uses 0.5 degrees and
 // 2,000 km — "the highest density of GTs tested in prior work".
 #pragma once
 
@@ -11,15 +11,12 @@
 
 namespace leosim::ground {
 
-struct RelayGridConfig {
-  double spacing_deg{0.5};
-  double radius_km{2000.0};
-};
+constexpr double kRelayRadiusKm = 2000.0;
 
 // Returns the relay GT positions. Implemented by rasterizing each city's
 // coverage disc into the grid (not by scanning all grid cells against all
 // cities), so cost is proportional to covered area.
 std::vector<geo::GeodeticCoord> BuildRelayGrid(const std::vector<data::City>& cities,
-                                               const RelayGridConfig& config = {});
+                                               double spacing_deg);
 
 }  // namespace leosim::ground

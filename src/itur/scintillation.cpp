@@ -7,6 +7,13 @@
 
 namespace leosim::itur {
 
+namespace {
+
+constexpr double kAntennaDiameterM = 0.7;
+constexpr double kAntennaEfficiency = 0.5;
+
+}  // namespace
+
 double ScintillationFadeDb(const ScintillationParams& params, double exceedance_pct) {
   const double p = std::clamp(exceedance_pct, 0.01, 50.0);
   const double el = std::clamp(params.elevation_deg, 5.0, 90.0);
@@ -19,8 +26,7 @@ double ScintillationFadeDb(const ScintillationParams& params, double exceedance_
   const double path_m = 2000.0 / (std::sqrt(sin_el * sin_el + 2.35e-4) + sin_el);
 
   // Antenna averaging factor.
-  const double d_eff =
-      params.antenna_diameter_m * std::sqrt(params.antenna_efficiency);
+  const double d_eff = kAntennaDiameterM * std::sqrt(kAntennaEfficiency);
   const double x = 1.22 * d_eff * d_eff * params.frequency_ghz / (path_m / 1000.0);
   double averaging = 0.0;
   if (x < 7.0) {

@@ -14,7 +14,7 @@ namespace leosim::itur {
 
 AttenuationBreakdown SlantPathAttenuation(const geo::GeodeticCoord& gt,
                                           double elevation_deg,
-                                          const SlantPathConfig& config,
+                                          double frequency_ghz,
                                           double exceedance_pct) {
   const double p = std::clamp(exceedance_pct, 0.001, 5.0);
   const double lat = gt.latitude_deg;
@@ -24,14 +24,13 @@ AttenuationBreakdown SlantPathAttenuation(const geo::GeodeticCoord& gt,
 
   const double temperature = data::SurfaceTemperatureK(lat, lon);
   const double vapour = data::WaterVapourDensityGPerM3(lat, lon);
-  out.gas_db = GaseousAttenuationDb(config.frequency_ghz, elevation_deg, vapour,
-                                    temperature);
+  out.gas_db = GaseousAttenuationDb(frequency_ghz, elevation_deg, vapour, temperature);
 
-  out.cloud_db = CloudAttenuationDb(config.frequency_ghz, elevation_deg,
+  out.cloud_db = CloudAttenuationDb(frequency_ghz, elevation_deg,
                                     data::CloudLiquidWaterKgPerM2(lat, lon));
 
   RainPathParams rain;
-  rain.frequency_ghz = config.frequency_ghz;
+  rain.frequency_ghz = frequency_ghz;
   rain.elevation_deg = elevation_deg;
   rain.latitude_deg = lat;
   rain.station_height_km = std::max(gt.altitude_km, 0.0);
@@ -40,11 +39,9 @@ AttenuationBreakdown SlantPathAttenuation(const geo::GeodeticCoord& gt,
   out.rain_db = RainAttenuationDb(rain, p);
 
   ScintillationParams scint;
-  scint.frequency_ghz = config.frequency_ghz;
+  scint.frequency_ghz = frequency_ghz;
   scint.elevation_deg = elevation_deg;
   scint.nwet = data::WetRefractivityNUnits(lat, lon);
-  scint.antenna_diameter_m = config.antenna_diameter_m;
-  scint.antenna_efficiency = config.antenna_efficiency;
   out.scintillation_db = ScintillationFadeDb(scint, p);
 
   // P.618 §2.5 combination: gas + sqrt((rain + cloud)^2 + scint^2).
@@ -55,8 +52,8 @@ AttenuationBreakdown SlantPathAttenuation(const geo::GeodeticCoord& gt,
 }
 
 double SlantPathAttenuationDb(const geo::GeodeticCoord& gt, double elevation_deg,
-                              const SlantPathConfig& config, double exceedance_pct) {
-  return SlantPathAttenuation(gt, elevation_deg, config, exceedance_pct).total_db;
+                              double frequency_ghz, double exceedance_pct) {
+  return SlantPathAttenuation(gt, elevation_deg, frequency_ghz, exceedance_pct).total_db;
 }
 
 double ReceivedPowerFraction(double attenuation_db) {

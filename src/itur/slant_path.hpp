@@ -9,12 +9,6 @@
 
 namespace leosim::itur {
 
-struct SlantPathConfig {
-  double frequency_ghz{12.0};
-  double antenna_diameter_m{0.7};
-  double antenna_efficiency{0.5};
-};
-
 struct AttenuationBreakdown {
   double gas_db{0.0};
   double cloud_db{0.0};
@@ -24,17 +18,18 @@ struct AttenuationBreakdown {
 };
 
 // Attenuation exceeded `exceedance_pct` percent of an average year on the
-// path from the ground point `gt` to a satellite seen at `elevation_deg`.
+// path from the ground point `gt` to a satellite seen at `elevation_deg`,
+// at `frequency_ghz`, for a consumer terminal (see ScintillationFadeDb).
 // Exceedance is clamped to [0.001, 5] (the P.618 validity range); the
 // paper's headline statistic uses 0.5% (the "99.5th percentile").
 AttenuationBreakdown SlantPathAttenuation(const geo::GeodeticCoord& gt,
                                           double elevation_deg,
-                                          const SlantPathConfig& config,
+                                          double frequency_ghz,
                                           double exceedance_pct);
 
 // Convenience: total dB only.
 double SlantPathAttenuationDb(const geo::GeodeticCoord& gt, double elevation_deg,
-                              const SlantPathConfig& config, double exceedance_pct);
+                              double frequency_ghz, double exceedance_pct);
 
 // Fraction of transmitted power that survives `attenuation_db`.
 double ReceivedPowerFraction(double attenuation_db);

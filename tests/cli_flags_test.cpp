@@ -83,6 +83,8 @@ TEST(CliFlagsTest, RejectsMalformedAndOutOfRangeValues) {
        "invalid value 'bogus' for --log-level (expected off, error, warn, info "
        "or debug)"},
       {"--metrics-out=", "invalid value '' for --metrics-out (expected a path)"},
+      // `leosim_cli trace` cannot be told to record into no directory.
+      {"--trace-net-out=", "invalid value '' for --trace-net-out (expected a path)"},
   };
   for (const auto& c : cases) {
     StudyConfig config;

@@ -49,9 +49,7 @@ TEST(EdgeCaseTest, RelayGridWrapsAntimeridian) {
   // Anchorage sits at -149.9; its 2,000 km disc crosses the antimeridian
   // and reaches Chukotka (eastern Siberia, positive longitudes). The grid
   // must contain land points on BOTH sides of 180 deg.
-  ground::RelayGridConfig config;
-  config.spacing_deg = 2.0;
-  const auto grid = ground::BuildRelayGrid({data::FindCity("Anchorage")}, config);
+  const auto grid = ground::BuildRelayGrid({data::FindCity("Anchorage")}, 2.0);
   bool positive_lon = false;
   bool negative_lon = false;
   for (const geo::GeodeticCoord& p : grid) {

@@ -192,17 +192,15 @@ TEST(ScintillationTest, WorseAtLowElevation) {
 }
 
 TEST(SlantPathTest, TropicsWorseThanMidLatitudes) {
-  const SlantPathConfig config{14.25, 0.7, 0.5};
   const double singapore =
-      SlantPathAttenuationDb({1.35, 103.8, 0.0}, 40.0, config, 0.5);
-  const double london = SlantPathAttenuationDb({51.5, -0.13, 0.0}, 40.0, config, 0.5);
+      SlantPathAttenuationDb({1.35, 103.8, 0.0}, 40.0, 14.25, 0.5);
+  const double london = SlantPathAttenuationDb({51.5, -0.13, 0.0}, 40.0, 14.25, 0.5);
   EXPECT_GT(singapore, london);
 }
 
 TEST(SlantPathTest, BreakdownSumsConsistently) {
-  const SlantPathConfig config{11.7, 0.7, 0.5};
   const AttenuationBreakdown b =
-      SlantPathAttenuation({10.0, 80.0, 0.0}, 35.0, config, 0.5);
+      SlantPathAttenuation({10.0, 80.0, 0.0}, 35.0, 11.7, 0.5);
   EXPECT_GT(b.gas_db, 0.0);
   EXPECT_GT(b.cloud_db, 0.0);
   EXPECT_GT(b.rain_db, 0.0);
@@ -215,8 +213,7 @@ TEST(SlantPathTest, PaperExceedanceMagnitudes) {
   // The paper's Fig. 8 reports ~5 dB for tropical hops and ~2.2 dB for the
   // end-point hops at 1% exceedance; our model should produce single-digit
   // dB values of the same order.
-  const SlantPathConfig config{14.25, 0.7, 0.5};
-  const double tropics = SlantPathAttenuationDb({5.0, 110.0, 0.0}, 35.0, config, 1.0);
+  const double tropics = SlantPathAttenuationDb({5.0, 110.0, 0.0}, 35.0, 14.25, 1.0);
   EXPECT_GT(tropics, 0.5);
   EXPECT_LT(tropics, 12.0);
 }
@@ -234,10 +231,9 @@ class ElevationMonotoneTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(ElevationMonotoneTest, LowerElevationWorse) {
   const double el = GetParam();
-  const SlantPathConfig config{12.0, 0.7, 0.5};
   const geo::GeodeticCoord site{20.0, 75.0, 0.0};
-  const double here = SlantPathAttenuationDb(site, el, config, 0.5);
-  const double higher = SlantPathAttenuationDb(site, el + 10.0, config, 0.5);
+  const double here = SlantPathAttenuationDb(site, el, 12.0, 0.5);
+  const double higher = SlantPathAttenuationDb(site, el + 10.0, 12.0, 0.5);
   EXPECT_GT(here, higher);
 }
 
